@@ -1,253 +1,88 @@
-"""Hot search kernels with a numba fast path and a pure-Python fallback.
+"""The two search kernels: the least realizer and the maximum avoiding subset.
 
-The realizer search and the exhaustive avoiding-subset search dominate the
-runtime of the brute-force oracles.  Both are compiled with numba unless the
-environment variable PATTERNKIT_NO_NUMBA is set to a non-empty value, in
-which case the pure-Python implementations are used.  Results of the two
-paths are identical; benchmarks/bench_kernels.py compares their speed.
+A coloring enters as its symmetric 0/1 matrix, indexed `mat[x, y]`; a
+pattern as its colour matrix from `pattern_matrix`; element lists as plain
+increasing lists.  The realizer search is the only one in the package:
+strong appearance, witnessed avoidance and the admissibility step of the
+avoiding-subset search all call it with a `last` colouring.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
-USING_NUMBA = not os.environ.get("PATTERNKIT_NO_NUMBA")
-
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-
-if not USING_NUMBA:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 @lru_cache(maxsize=4096)
-def _pattern_matrix(size: int, bits: tuple[int, ...]) -> np.ndarray:
-    pm = np.zeros((size, size), dtype=np.uint8)
-    k = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            pm[i, j] = pm[j, i] = bits[k]
-            k += 1
-    pm.setflags(write=False)
-    return pm
+def _pattern_matrix(size: int, bits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    pm = [[0] * size for _ in range(size)]
+    for (i, j), b in zip(itertools.combinations(range(size), 2), bits):
+        pm[i][j] = pm[j][i] = b
+    return tuple(map(tuple, pm))
 
 
-def pattern_arrays(p) -> tuple[np.ndarray]:
-    """Color matrix of a pattern, cached; the shape carries the size."""
-    return (_pattern_matrix(p.size, p.bits),)
+def pattern_matrix(p) -> tuple[tuple[int, ...], ...]:
+    """Colour matrix of a pattern as a tuple of rows, cached."""
+    return _pattern_matrix(p.size, p.bits)
 
 
-# ---------------------------------------------------------------------------
-# lexicographically least realizer
+def lex_least_realizer(mat, elems, pm, last=None) -> Optional[list[int]]:
+    """Lexicographically least increasing tuple of elems realizing pm, or None.
 
-
-@njit(cache=True)
-def _lex_least_realizer_jit(mat, elems, pm):  # pragma: no cover - compiled
-    n = elems.shape[0]
-    l = pm.shape[0]
-    if l > n:
-        return np.full(l, -1, dtype=np.int64)
-    idx = np.empty(l, dtype=np.int64)
-    depth = 0
-    idx[0] = 0
-    while depth >= 0:
-        if idx[depth] > n - (l - depth):
-            depth -= 1
-            if depth >= 0:
-                idx[depth] += 1
-            continue
-        e = elems[idx[depth]]
-        ok = True
-        for i in range(depth):
-            if mat[elems[idx[i]], e] != pm[i, depth]:
-                ok = False
-                break
-        if not ok:
-            idx[depth] += 1
-            continue
-        if depth == l - 1:
-            out = np.empty(l, dtype=np.int64)
-            for i in range(l):
-                out[i] = elems[idx[i]]
-            return out
-        depth += 1
-        idx[depth] = idx[depth - 1] + 1
-    return np.full(l, -1, dtype=np.int64)
-
-
-def _lex_least_realizer_py(mat, elems, pm):
+    With `last`, a colour per element toward a virtual top vertex, the tuple
+    realizes pm minus its last vertex and each x_i must also have
+    last[x_i] == pm[i][-1].
+    """
+    l = len(pm) - (last is not None)
     n = len(elems)
-    l = pm.shape[0]
-    if l > n:
-        return np.full(l, -1, dtype=np.int64)
+    out: list[int] = []
 
-    def extend(prefix, start):
-        depth = len(prefix)
-        if depth == l:
-            return prefix
-        for k in range(start, n - (l - depth) + 1):
+    def extend(start: int) -> bool:
+        d = len(out)
+        if d == l:
+            return True
+        want = pm[d]
+        for k in range(start, n - l + d + 1):
             e = elems[k]
-            if all(mat[elems[prefix[i]], e] == pm[i, depth] for i in range(depth)):
-                hit = extend(prefix + [k], k + 1)
-                if hit is not None:
-                    return hit
-        return None
+            if last is not None and last[e] != want[-1]:
+                continue
+            for i, x in enumerate(out):
+                if mat[x, e] != want[i]:
+                    break
+            else:
+                out.append(e)
+                if extend(k + 1):
+                    return True
+                out.pop()
+        return False
 
-    hit = extend([], 0)
-    if hit is None:
-        return np.full(l, -1, dtype=np.int64)
-    return np.array([elems[k] for k in hit], dtype=np.int64)
-
-
-def lex_least_realizer(mat, elems, pm) -> Optional[list[int]]:
-    """First subset of elems (sorted, as a lex-ordered tuple) realizing the pattern."""
-    if pm.shape[0] == 1:
-        return [int(elems[0])] if len(elems) else None
-    impl = _lex_least_realizer_jit if USING_NUMBA else _lex_least_realizer_py
-    out = impl(np.ascontiguousarray(mat), np.ascontiguousarray(elems),
-               np.ascontiguousarray(pm))
-    if out[0] < 0:
-        return None
-    return [int(x) for x in out]
+    return out if extend(0) else None
 
 
-# ---------------------------------------------------------------------------
-# maximum avoiding subset (exhaustive, include-first DFS with pruning)
-
-
-@njit(cache=True)
-def _max_avoiding_jit(mat, elems, pm):  # pragma: no cover - compiled
-    n = elems.shape[0]
-    l = pm.shape[0]
-    chosen = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.int64)
-    best_len = -1
-    # frame stack: position scanned and phase (0 = try include, 1 = try exclude)
-    f_idx = np.empty(n + 1, dtype=np.int64)
-    f_phase = np.empty(n + 1, dtype=np.int64)
-    f_cnt = np.empty(n + 1, dtype=np.int64)
-    top = 0
-    f_idx[0] = 0
-    f_phase[0] = 0
-    f_cnt[0] = 0
-    while top >= 0:
-        idx = f_idx[top]
-        cnt = f_cnt[top]
-        if idx == n:
-            if cnt > best_len:
-                best_len = cnt
-                for i in range(cnt):
-                    best[i] = chosen[i]
-            top -= 1
-            continue
-        if cnt + (n - idx) <= best_len:
-            top -= 1
-            continue
-        phase = f_phase[top]
-        if phase == 0:
-            f_phase[top] = 1
-            e = elems[idx]
-            admissible = True
-            if cnt >= l - 1:
-                # search an (l-1)-subset of chosen matching the truncation with e on top
-                comb = np.empty(l, dtype=np.int64)
-                d = 0
-                comb[0] = 0
-                while d >= 0:
-                    if comb[d] > cnt - (l - 1 - d):
-                        d -= 1
-                        if d >= 0:
-                            comb[d] += 1
-                        continue
-                    x = chosen[comb[d]]
-                    ok = mat[x, e] == pm[d, l - 1]
-                    if ok:
-                        for i in range(d):
-                            if mat[chosen[comb[i]], x] != pm[i, d]:
-                                ok = False
-                                break
-                    if not ok:
-                        comb[d] += 1
-                        continue
-                    if d == l - 2:
-                        admissible = False
-                        break
-                    d += 1
-                    comb[d] = comb[d - 1] + 1
-            if admissible:
-                chosen[cnt] = e
-                top += 1
-                f_idx[top] = idx + 1
-                f_phase[top] = 0
-                f_cnt[top] = cnt + 1
-            continue
-        if phase == 1:
-            f_phase[top] = 2
-            top += 1
-            f_idx[top] = idx + 1
-            f_phase[top] = 0
-            f_cnt[top] = cnt
-            continue
-        top -= 1
-    return best[:max(best_len, 0)]
-
-
-def _max_avoiding_py(mat, elems, pm):
+def max_avoiding_elems(mat, elems, pm) -> list[int]:
+    """Maximum-cardinality subset of elems avoiding the pattern; the first one
+    an include-first scan of elems finds, which is the lex-least."""
+    if len(pm) == 1:
+        return []  # every nonempty set realizes the singleton pattern
     n = len(elems)
-    l = pm.shape[0]
     best: list[int] = []
     chosen: list[int] = []
 
-    def admissible(e):
-        if len(chosen) < l - 1:
-            return True
-        for comb in itertools.combinations(chosen, l - 1):
-            if all(mat[comb[i], e] == pm[i, l - 1] for i in range(l - 1)) and all(
-                mat[comb[i], comb[j]] == pm[i, j]
-                for i in range(l - 1) for j in range(i + 1, l - 1)
-            ):
-                return False
-        return True
-
-    def walk(idx):
+    def walk(idx: int) -> None:
         nonlocal best
-        if len(chosen) + (n - idx) <= len(best) and best:
+        if len(chosen) + n - idx <= len(best):
             return
         if idx == n:
-            if len(chosen) > len(best):
-                best = list(chosen)
+            best = list(chosen)
             return
-        e = int(elems[idx])
-        if admissible(e):
+        e = elems[idx]
+        # chosen avoids p, so chosen + [e] does unless e tops a realizer
+        if lex_least_realizer(mat, chosen, pm, mat[:, e]) is None:
             chosen.append(e)
             walk(idx + 1)
             chosen.pop()
         walk(idx + 1)
 
-    # seed best as empty but still let the first full-depth candidate through
-    best = []
     walk(0)
-    return np.array(best, dtype=np.int64)
-
-
-def max_avoiding_elems(mat, elems, pm) -> list[int]:
-    """Maximum-cardinality subset of elems avoiding the pattern; lex-least tie-break."""
-    if pm.shape[0] == 1:
-        return []  # every nonempty set realizes the singleton pattern
-    impl = _max_avoiding_jit if USING_NUMBA else _max_avoiding_py
-    out = impl(np.ascontiguousarray(mat), np.ascontiguousarray(elems, dtype=np.int64),
-               np.ascontiguousarray(pm))
-    return [int(x) for x in out]
+    return best

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .core import Pattern, PatternError, format_pattern, is_subpattern, pattern_from_colors
+from .core import Pattern, PatternError, format_pattern, pattern_from_colors, vertex_maps
 from .algebra import ClassificationFlags, classify
 
 MAX_PAIR_BITS = 28  # enumeration guard: C(l,2) <= 28, i.e. l <= 8
@@ -53,15 +53,9 @@ def enumerate_patterns(size: int) -> list[Pattern]:
 @lru_cache(maxsize=4096)
 def subpatterns(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
     """Deduplicated set of patterns embedding into p under the given mode."""
-    if mode not in ("injective", "monotone"):
-        raise PatternError(f"unknown embedding mode {mode!r}")
     found: set[Pattern] = set()
     for k in range(1, p.size + 1):
-        if mode == "monotone":
-            maps = itertools.combinations(range(p.size), k)
-        else:
-            maps = itertools.permutations(range(p.size), k)
-        for g in maps:
+        for g in vertex_maps(k, p.size, mode):
             found.add(pattern_from_colors(k, lambda a, b: p(g[a], g[b])))
     return frozenset(found)
 

@@ -54,6 +54,31 @@ def _yn(b: bool) -> str:
 # commands
 
 
+def _read(path: str) -> str:
+    """Text of an input file; a missing or unreadable one is a user error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise PatternError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise PatternError(f"cannot read {path}: not a text file") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise PatternError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    """Sorted integers of a comma-separated option value; empty text gives []."""
+    try:
+        return sorted(int(x) for x in text.split(",")) if text else []
+    except ValueError:
+        raise PatternError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_classify(args) -> int:
     p = parse_pattern(args.pattern)
     rep = report(p, args.mode)
@@ -150,12 +175,9 @@ def cmd_subpatterns(args) -> int:
 
 
 def cmd_avoid_search(args) -> int:
-    f = pio.parse_coloring(Path(args.coloring).read_text())
+    f = pio.parse_coloring(_read(args.coloring))
     p = parse_pattern(args.pattern)
-    if args.elements:
-        W = sorted(int(x) for x in args.elements.split(","))
-    else:
-        W = list(range(f.window))
+    W = _int_list(args.elements, "--elements") or list(range(f.window))
     best = max_avoiding_subset(f, W, p)
     rec = {
         "pattern": format_pattern(p),
@@ -172,7 +194,7 @@ def cmd_avoid_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    text = Path(args.oracle).read_text()
+    text = _read(args.oracle)
     if args.kind == "dnc":
         oracle = pio.parse_approx_oracle(text)
         f, trace = build_dnc_coloring(oracle, args.stages)
@@ -189,9 +211,9 @@ def cmd_simulate(args) -> int:
         raise PatternError(f"unknown construction kind {args.kind!r}")
     rep = verify_trace(trace, f)
     if args.coloring_out:
-        Path(args.coloring_out).write_text(coloring_text)
+        _write(args.coloring_out, coloring_text)
     if args.trace_out:
-        Path(args.trace_out).write_text("\n".join(pio.trace_records(trace)) + "\n")
+        _write(args.trace_out, "\n".join(pio.trace_records(trace)) + "\n")
     for res in rep.results:
         rec = {"check": res.name, "passed": int(res.passed)}
         if res.stage is not None:
@@ -208,9 +230,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_force_eval(args) -> int:
-    f = pio.parse_coloring(Path(args.coloring).read_text())
-    X = sorted(int(x) for x in args.reservoir.split(",")) if args.reservoir else []
-    stem = sorted(int(x) for x in args.stem.split(",")) if args.stem else []
+    f = pio.parse_coloring(_read(args.coloring))
+    X = _int_list(args.reservoir, "--reservoir")
+    stem = _int_list(args.stem, "--stem")
     p = parse_pattern(args.pattern)
     phi = catalogue_predicate(args.predicate, f)
 
@@ -221,7 +243,7 @@ def cmd_force_eval(args) -> int:
         def run(n):
             return eval_question_i(f, stem, X, p, phi, n, collect_failure=True)
     elif args.kind == "disjunctive":
-        stem1 = sorted(int(x) for x in args.stem1.split(",")) if args.stem1 else []
+        stem1 = _int_list(args.stem1, "--stem1")
         p1 = parse_pattern(args.pattern1) if args.pattern1 else p
         phi1 = catalogue_predicate(args.predicate1, f) if args.predicate1 else phi
 
@@ -250,7 +272,7 @@ def cmd_force_eval(args) -> int:
 
 
 def cmd_tree2col(args) -> int:
-    tree = pio.parse_tree(Path(args.tree).read_text())
+    tree = pio.parse_tree(_read(args.tree))
     f = tree_to_coloring(tree, args.window)
     sys.stdout.write(pio.format_coloring(f))
     return 0

@@ -272,14 +272,14 @@ def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, f_so_far,
     if count * pm_.size > len(elems):
         return None
     mat = f_so_far.matrix if isinstance(f_so_far, FiniteColoring) else np.asarray(f_so_far)
-    (pmat,) = _kernels.pattern_arrays(pm_)
+    pmat = _kernels.pattern_matrix(pm_)
     ages = _ages if _ages is not None else {x: age(o, e, x, s) for x in elems}
     blocks: list[list[int]] = []
     remaining = list(elems)
     while len(blocks) < count:
         hit = None
         for t in sorted({ages[x] for x in remaining}, reverse=True):
-            sub = np.asarray([x for x in remaining if ages[x] >= t], dtype=np.int64)
+            sub = [x for x in remaining if ages[x] >= t]
             hit = _kernels.lex_least_realizer(mat, sub, pmat)
             if hit is not None:
                 break

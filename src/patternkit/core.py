@@ -133,9 +133,14 @@ class FiniteColoring:
     matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.uint8)
+        m = np.asarray(self.matrix)
         if m.shape != (self.window, self.window):
             raise PatternError(f"expected a {self.window}x{self.window} color matrix")
+        # one reduction and no temporary array: the bitwise OR of integer
+        # entries lies in {0, 1} exactly when every entry does
+        if m.dtype.kind not in "biu" or not 0 <= np.bitwise_or.reduce(m, axis=None) <= 1:
+            raise PatternError("pair colors must be 0 or 1")
+        m = m.astype(np.uint8, copy=False)
         if not np.array_equal(m, m.T):
             raise PatternError("pair colors must be symmetric")
         object.__setattr__(self, "matrix", m)
@@ -143,6 +148,8 @@ class FiniteColoring:
     def __call__(self, x: int, y: int) -> int:
         if x == y:
             raise PatternError(f"no color for the degenerate pair ({x},{x})")
+        if not (0 <= x < self.window and 0 <= y < self.window):
+            raise PatternError(f"pair ({x},{y}) outside window [0,{self.window})")
         return int(self.matrix[x, y])
 
     def __eq__(self, other) -> bool:
@@ -155,7 +162,8 @@ class FiniteColoring:
 
 
 def coloring_from_function(window: int, colors) -> FiniteColoring:
-    m = np.zeros((window, window), dtype=np.uint8)
+    # int64, not uint8, so that a bad color reaches FiniteColoring's check unchanged
+    m = np.zeros((window, window), dtype=np.int64)
     for x, y in itertools.combinations(range(window), 2):
         m[x, y] = m[y, x] = colors(x, y)
     return FiniteColoring(window, m)
@@ -263,14 +271,9 @@ def realizes(f: FiniteColoring, F: Iterable[int], p: Pattern) -> bool:
 
 def find_realizer(f: FiniteColoring, H: Iterable[int], p: Pattern) -> Optional[frozenset[int]]:
     """Lexicographically least subset of H realizing p, if any."""
-    hs = _check_window_subset(f, H)
-    if len(hs) < p.size:
-        return None
-    hit = _kernels.lex_least_realizer(f.matrix, np.asarray(hs, dtype=np.int64),
-                                      *_kernels.pattern_arrays(p))
-    if hit is None:
-        return None
-    return frozenset(hit)
+    hit = _kernels.lex_least_realizer(f.matrix, _check_window_subset(f, H),
+                                      _kernels.pattern_matrix(p))
+    return None if hit is None else frozenset(hit)
 
 
 def avoids(f: FiniteColoring, H: Iterable[int], p: Pattern) -> bool:
@@ -278,34 +281,27 @@ def avoids(f: FiniteColoring, H: Iterable[int], p: Pattern) -> bool:
     return find_realizer(f, H, p) is None
 
 
+def vertex_maps(k: int, n: int, mode: str) -> Iterable[tuple[int, ...]]:
+    """Candidate maps [0,k) -> [0,n): the increasing ones in monotone mode,
+    every injection in injective mode."""
+    if mode == "monotone":
+        return itertools.combinations(range(n), k)
+    if mode == "injective":
+        return itertools.permutations(range(n), k)
+    raise PatternError(f"unknown embedding mode {mode!r}")
+
+
+def _embeds(q: Pattern, p: Pattern, g: Sequence[int]) -> bool:
+    return all(q(x, y) == p(g[x], g[y]) for x, y in itertools.combinations(range(q.size), 2))
+
+
 def embeddings(q: Pattern, p: Pattern, mode: str = "injective") -> list[Embedding]:
     """All maps g with q(x,y) = p(g(x),g(y)); monotone mode keeps increasing g only."""
-    if mode not in ("injective", "monotone"):
-        raise PatternError(f"unknown embedding mode {mode!r}")
-    if q.size > p.size:
-        return []
-    if mode == "monotone":
-        candidates = itertools.combinations(range(p.size), q.size)
-    else:
-        candidates = itertools.permutations(range(p.size), q.size)
-    out = []
-    for g in candidates:
-        if all(q(x, y) == p(g[x], g[y]) for x, y in itertools.combinations(range(q.size), 2)):
-            out.append(Embedding(g))
-    return out
+    return [Embedding(g) for g in vertex_maps(q.size, p.size, mode) if _embeds(q, p, g)]
 
 
 def is_subpattern(q: Pattern, p: Pattern, mode: str = "injective") -> bool:
-    if mode not in ("injective", "monotone"):
-        raise PatternError(f"unknown embedding mode {mode!r}")
-    if q.size > p.size:
-        return False
-    if mode == "monotone":
-        candidates = itertools.combinations(range(p.size), q.size)
-    else:
-        candidates = itertools.permutations(range(p.size), q.size)
-    pairs = list(itertools.combinations(range(q.size), 2))
-    return any(all(q(x, y) == p(g[x], g[y]) for x, y in pairs) for g in candidates)
+    return any(_embeds(q, p, g) for g in vertex_maps(q.size, p.size, mode))
 
 
 def strongly_realizes(sc: StableColoring, F: Iterable[int], p: Pattern) -> bool:
@@ -325,12 +321,6 @@ def strongly_appears(sc: StableColoring, H: Iterable[int], p: Pattern) -> bool:
     """Some (|p|-1)-subset of H strongly realizes p."""
     if p.size < 2:
         raise PatternError("strong appearance needs a pattern of size >= 2")
-    hs = sorted(H)
-    last = p.size - 1
-    spec = [p(i, last) for i in range(last)]
-    # limit check first: it prunes to the vertices with the right declared limit
-    return any(
-        all(sc.limit[x] == spec[i] for i, x in enumerate(xs))
-        and realizes(sc.base, xs, minus(p))
-        for xs in itertools.combinations(hs, p.size - 1)
-    )
+    hs = _check_window_subset(sc.base, H)
+    return _kernels.lex_least_realizer(sc.base.matrix, hs, _kernels.pattern_matrix(p),
+                                       sc.limit) is not None

@@ -12,19 +12,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import _kernels
 from .core import (
     FiniteColoring,
     PartialColoring,
     Pattern,
     PatternError,
+    _check_window_subset,
     avoids,
     coloring_from_function,
     find_realizer,
-    minus,
-    realizes,
 )
 from .algebra import join
 
@@ -53,15 +50,8 @@ def fg_avoids(f: FiniteColoring, g: PartialColoring, X: Iterable[int],
     xs = sorted(X)
     if not g.defined_on(xs):
         raise PatternError("witness must be defined on all of X")
-    if not avoids(f, xs, p):
-        return False
-    pm = minus(p)
-    last = p.size - 1
-    for sub in itertools.combinations(xs, p.size - 1):
-        if realizes(f, sub, pm):
-            if all(g(x) == p(i, last) for i, x in enumerate(sub)):
-                return False
-    return True
+    return avoids(f, xs, p) and _kernels.lex_least_realizer(
+        f.matrix, xs, _kernels.pattern_matrix(p), g.assignments) is None
 
 
 def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],
@@ -191,19 +181,15 @@ def greedy_avoid_join(f: FiniteColoring, H: Iterable[int], p: Pattern,
     if avoids(f, tail_elems, q) and len(tail_elems) >= len(chosen):
         return GreedySplit("q", frozenset(tail_elems), True, False)
     # finite-window fallback: return the longer verified candidate
-    if avoids(f, tail_elems, q) :
-        return GreedySplit("p", frozenset(chosen), avoids(f, chosen, p), True)
     return GreedySplit("p", frozenset(chosen), avoids(f, chosen, p), True)
 
 
 def max_avoiding_subset(f: FiniteColoring, W: Iterable[int], p: Pattern) -> frozenset[int]:
     """Exhaustive maximum-cardinality avoiding subset; brute-force oracle."""
-    ws = sorted(W)
+    ws = _check_window_subset(f, W)
     if len(ws) > 20:
         raise PatternError(f"brute-force oracle capped at 20 vertices, got {len(ws)}")
-    out = _kernels.max_avoiding_elems(
-        f.matrix, np.asarray(ws, dtype=np.int64), *_kernels.pattern_arrays(p))
-    return frozenset(out)
+    return frozenset(_kernels.max_avoiding_elems(f.matrix, ws, _kernels.pattern_matrix(p)))
 
 
 # ---------------------------------------------------------------------------

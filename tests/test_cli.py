@@ -196,6 +196,40 @@ class TestVerifyLemmas:
         assert code == 2
 
 
+class TestInputErrors:
+    """User errors exit 2 with one `error:` line; 1 means a failed check."""
+
+    def assert_user_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_input_files(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        self.assert_user_error(capsys, "avoid-search", missing, "2:0")
+        self.assert_user_error(capsys, "simulate", "dnc", missing, "--stages", "5")
+        self.assert_user_error(capsys, "force-eval", "omega", missing, "2:0", "true")
+        self.assert_user_error(capsys, "tree2col", missing, "--window", "3")
+
+    def test_unreadable_input_file(self, capsys, tmp_path):
+        # a directory cannot be read as a file, whoever runs the test
+        self.assert_user_error(capsys, "avoid-search", str(tmp_path), "2:0")
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\x00")
+        self.assert_user_error(capsys, "avoid-search", str(binary), "2:0")
+
+    def test_unwritable_output_file(self, capsys, tmp_path, fixtures):
+        self.assert_user_error(capsys, "simulate", "dnc", str(fixtures / "dnc_oracle.txt"),
+                               "--stages", "5", "--coloring-out", str(tmp_path))
+
+    def test_non_integer_lists(self, capsys, coloring_file):
+        self.assert_user_error(capsys, "avoid-search", coloring_file, "2:0",
+                               "--elements", "1,a")
+        for option in ("--reservoir", "--stem"):
+            self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
+                                   "2:0", "true", option, "1,,2")
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, coloring_file, fixtures):
         invocations = [

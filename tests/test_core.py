@@ -10,6 +10,7 @@ from patternkit.core import (
     PatternError,
     StableColoring,
     avoids,
+    coloring_from_function,
     constant_coloring,
     dual,
     embeddings,
@@ -277,6 +278,22 @@ class TestColorings:
         m[0, 1] = 1
         with pytest.raises(PatternError):
             FiniteColoring(3, m)
+
+    def test_colors_must_be_0_or_1(self):
+        import numpy as np
+        with pytest.raises(PatternError):
+            coloring_from_function(4, lambda x, y: 2)
+        with pytest.raises(PatternError):
+            FiniteColoring(2, np.array([[0, 2], [2, 0]], dtype=np.uint8))
+        with pytest.raises(PatternError):
+            constant_coloring(3, 2)
+
+    def test_call_rejects_vertices_outside_window(self):
+        f = coloring_from_function(4, lambda x, y: int(y == 3))
+        assert f(3, 2) == 1
+        for x, y in ((-1, 2), (2, -1), (1, 4), (4, 0)):
+            with pytest.raises(PatternError):
+                f(x, y)
 
     def test_flip_inverts_edges(self):
         f = constant_coloring(4, 0)

@@ -251,6 +251,12 @@ class TestBruteForceOracle:
             max_avoiding_subset(constant_coloring(25), range(25),
                                 parse_pattern("2:0"))
 
+    def test_vertices_outside_window_rejected(self):
+        f = constant_coloring(4)
+        for W in ([0, 1, 4], [-1, 0, 1]):
+            with pytest.raises(PatternError):
+                max_avoiding_subset(f, W, parse_pattern("2:0"))
+
     def test_matches_greedy_verified_sides(self):
         rng = random.Random(3)
         p = parse_pattern("2:0")
