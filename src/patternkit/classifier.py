@@ -60,10 +60,6 @@ def subpatterns(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
     return frozenset(found)
 
 
-def _sorted_subpatterns(p: Pattern, mode: str) -> list[Pattern]:
-    return sorted(subpatterns(p, mode), key=lambda q: (q.size, q.bits))
-
-
 def _verdict_pool(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
     # mode is validated but the verdict pool is always the order-preserving
     # one; see the module docstring

@@ -6,6 +6,15 @@ of the reservoir.  The colorings only ever get evaluated on elements of the
 reservoir below the bound, so the evaluators quantify over assignments to
 X ∩ [0, n] rather than all of [0, n]; reported failure witnesses are padded
 with zeros back to [0, n].
+
+A rho passes for a coloring g when it avoids p, phi(sigma ∪ rho) fires, and
+g witnesses it (fg_avoids).  Only the last test reads g, so each question
+builds one candidate scan per side: the rho ⊆ X ∩ [0, n] in size-then-
+lexicographic order that avoid p and make phi fire.  The scan is lazy and
+memoised, so each rho's coloring-independent half is tested at most once
+however many colorings reach it, and each evaluator is only the quantifier
+over colorings: the first g (in itertools.product order) under which no
+candidate passes fg_avoids is the failure witness.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import FiniteColoring, PartialColoring, Pattern, PatternError
+from .core import FiniteColoring, PartialColoring, Pattern, PatternError, avoids
 from .stabilize import fg_avoids
 
 MAX_BOUND = 14
@@ -27,9 +36,6 @@ class BoundedPredicate:
     name: str
     fn: Callable[[frozenset[int], int], bool]
     bound: int = 0
-
-    def holds(self, F: Iterable[int], x: int) -> bool:
-        return bool(self.fn(frozenset(F), x))
 
     def satisfied_by(self, F: Iterable[int]) -> bool:
         fs = frozenset(F)
@@ -45,8 +51,35 @@ def _check_bound(f: FiniteColoring, n: int) -> None:
         raise PatternError(f"bound {n} exceeds the hard cap {MAX_BOUND}")
 
 
-def _window_part(X: Iterable[int], n: int) -> list[int]:
-    return sorted(x for x in X if 0 <= x <= n)
+def _reservoir(f, n, stems, X) -> list[int]:
+    """X ∩ [0, n], sorted, once the bound is checked and each (sorted) stem is
+    known to lie in the window and below that reservoir."""
+    _check_bound(f, n)
+    Xn = sorted(x for x in X if 0 <= x <= n)
+    for ss in filter(None, stems):
+        if min(ss) < 0 or max(ss) >= f.window:
+            raise PatternError(f"stem {ss} outside window [0,{f.window})")
+        if Xn and max(ss) >= Xn[0]:
+            raise PatternError("stem must lie entirely below the reservoir")
+    return Xn
+
+
+def _candidates(f, sigma, Xn, p, phi):
+    """A re-iterable scan, by size and then lexicographically, over the rho ⊆ Xn
+    that avoid p and make phi(sigma ∪ rho) fire.  Each rho is tested once, by
+    the first scan that reaches it; later scans replay the passing ones first."""
+    if p.size < 2:
+        raise PatternError("witnessed avoidance needs a pattern of size >= 2")
+    stem, seen = frozenset(sigma), []
+    pending = (rho for k in range(len(Xn) + 1) for rho in itertools.combinations(Xn, k)
+               if avoids(f, rho, p) and phi.satisfied_by(stem.union(rho)))
+
+    def scan():
+        yield from seen
+        for rho in pending:
+            seen.append(rho)
+            yield rho
+    return scan
 
 
 def _colorings(support: Sequence[int]):
@@ -55,22 +88,22 @@ def _colorings(support: Sequence[int]):
         yield PartialColoring(dict(zip(support, bits)))
 
 
-def _subsets_ascending(xs: Sequence[int]):
-    for k in range(len(xs) + 1):
-        yield from itertools.combinations(xs, k)
+def _uncovered(f, Xn, sides) -> Optional[PartialColoring]:
+    """The first coloring g of Xn that witnesses no candidate rho of any
+    (p, scan) side."""
+    return next((g for g in _colorings(Xn) if not any(
+        fg_avoids(f, g, rho, p) for p, rhos in sides for rho in rhos())), None)
 
 
-def _pad(g: PartialColoring, n: int) -> dict[int, int]:
-    return {x: (g(x) if x in g else 0) for x in range(n + 1)}
-
-
-def _find_rho_omega(f, sigma, Xn, p, phi, g) -> Optional[tuple[int, ...]]:
-    for rho in _subsets_ascending(Xn):
-        if not fg_avoids(f, g, rho, p):
-            continue
-        if phi.satisfied_by(frozenset(sigma) | set(rho)):
-            return rho
-    return None
+def _result(fail, n, collect_failure):
+    """The verdict, or (verdict, fail padded with zeros to [0, n]); fail is
+    None, a coloring or a pair of colorings."""
+    if not collect_failure:
+        return fail is None
+    if fail is None:
+        return True, None
+    pad = lambda g: {x: (g(x) if x in g else 0) for x in range(n + 1)}  # noqa: E731
+    return False, pad(fail) if isinstance(fail, PartialColoring) else tuple(map(pad, fail))
 
 
 def eval_question_omega(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
@@ -79,18 +112,10 @@ def eval_question_omega(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int
     """True when every coloring of X∩[0,n] admits a witnessed-avoiding rho
     making phi fire; with collect_failure, return (verdict, failing coloring
     on [0,n] or None) instead of a bare boolean."""
-    _check_bound(f, n)
-    ss, Xn = sorted(sigma), _window_part(X, n)
-    if ss and Xn and ss[-1] >= Xn[0]:
-        raise PatternError("stem must lie entirely below the reservoir")
-    for g in _colorings(Xn):
-        if _find_rho_omega(f, ss, Xn, p, phi, g) is None:
-            return (False, _pad(g, n)) if collect_failure else False
-    return (True, None) if collect_failure else True
-
-
-def _homogeneous(rho: Sequence[int], g: PartialColoring) -> bool:
-    return len({g(x) for x in rho}) <= 1
+    ss = sorted(sigma)
+    Xn = _reservoir(f, n, [ss], X)
+    sides = [(p, _candidates(f, ss, Xn, p, phi))]
+    return _result(_uncovered(f, Xn, sides), n, collect_failure)
 
 
 def eval_question_i(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
@@ -98,25 +123,13 @@ def eval_question_i(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
                     collect_failure: bool = False):
     """As eval_question_omega but universally over pairs (h0, h1) and with rho
     required homogeneous for both."""
-    _check_bound(f, n)
-    ss, Xn = sorted(sigma), _window_part(X, n)
-    if ss and Xn and ss[-1] >= Xn[0]:
-        raise PatternError("stem must lie entirely below the reservoir")
-    for h0 in _colorings(Xn):
-        for h1 in _colorings(Xn):
-            hit = None
-            for rho in _subsets_ascending(Xn):
-                if not (_homogeneous(rho, h0) and _homogeneous(rho, h1)):
-                    continue
-                if not fg_avoids(f, h0, rho, p):
-                    continue
-                if phi.satisfied_by(frozenset(ss) | set(rho)):
-                    hit = rho
-                    break
-            if hit is None:
-                fail = (_pad(h0, n), _pad(h1, n))
-                return (False, fail) if collect_failure else False
-    return (True, None) if collect_failure else True
+    ss = sorted(sigma)
+    Xn = _reservoir(f, n, [ss], X)
+    rhos = _candidates(f, ss, Xn, p, phi)
+    fail = next(((h0, h1) for h0 in _colorings(Xn) for h1 in _colorings(Xn) if not any(
+        len({h0(x) for x in rho}) <= 1 and len({h1(x) for x in rho}) <= 1
+        and fg_avoids(f, h0, rho, p) for rho in rhos())), None)
+    return _result(fail, n, collect_failure)
 
 
 def eval_question_disjunctive(f: FiniteColoring, sigma0: Iterable[int],
@@ -127,20 +140,11 @@ def eval_question_disjunctive(f: FiniteColoring, sigma0: Iterable[int],
     """For every coloring h there must be a side i and a rho ⊆ X avoiding p_i
     with witness h such that phi_i(sigma_i ∪ rho) fires; the side may vary
     with h."""
-    _check_bound(f, n)
-    Xn = _window_part(X, n)
-    sides = [(sorted(sigma0), p0, phi0), (sorted(sigma1), p1, phi1)]
-    for ss, _p, _phi in sides:
-        if ss and Xn and ss[-1] >= Xn[0]:
-            raise PatternError("stem must lie entirely below the reservoir")
-    for h in _colorings(Xn):
-        ok = any(
-            _find_rho_omega(f, ss, Xn, p, phi, h) is not None
-            for ss, p, phi in sides
-        )
-        if not ok:
-            return (False, _pad(h, n)) if collect_failure else False
-    return (True, None) if collect_failure else True
+    ss0, ss1 = sorted(sigma0), sorted(sigma1)
+    Xn = _reservoir(f, n, [ss0, ss1], X)
+    sides = [(p0, _candidates(f, ss0, Xn, p0, phi0)),
+             (p1, _candidates(f, ss1, Xn, p1, phi1))]
+    return _result(_uncovered(f, Xn, sides), n, collect_failure)
 
 
 def least_bound(evaluate: Callable[[int], bool], cap: int) -> Optional[int]:
@@ -175,6 +179,9 @@ def pred_contains(v: int) -> BoundedPredicate:
 
 def pred_homogeneous(f: FiniteColoring, color: int, min_size: int = 2) -> BoundedPredicate:
     """F spans only edges of the given color and has at least min_size vertices."""
+    if color not in (0, 1):
+        raise PatternError(f"homogeneity color must be 0 or 1, got {color}")
+
     def check(F: frozenset[int], x: int) -> bool:
         if len(F) < min_size:
             return False
@@ -185,19 +192,26 @@ def pred_homogeneous(f: FiniteColoring, color: int, min_size: int = 2) -> Bounde
 def catalogue_predicate(spec: str, f: Optional[FiniteColoring] = None) -> BoundedPredicate:
     """Parse a predicate description: true, false, size>=K, contains:V,
     homogeneous:C[:MIN]."""
+    def integer(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise PatternError(f"predicate {spec!r} needs integer parameters, "
+                               f"got {text!r}") from None
+
     if spec == "true":
         return pred_true()
     if spec == "false":
         return pred_false()
     if spec.startswith("size>="):
-        return pred_size_at_least(int(spec[len("size>="):]))
+        return pred_size_at_least(integer(spec[len("size>="):]))
     if spec.startswith("contains:"):
-        return pred_contains(int(spec.split(":", 1)[1]))
+        return pred_contains(integer(spec.split(":", 1)[1]))
     if spec.startswith("homogeneous:"):
         parts = spec.split(":")
         if f is None:
             raise PatternError("homogeneity predicate needs the ambient coloring")
-        color = int(parts[1])
-        min_size = int(parts[2]) if len(parts) > 2 else 2
-        return pred_homogeneous(f, color, min_size)
+        if len(parts) > 3:
+            raise PatternError(f"unknown predicate {spec!r}")
+        return pred_homogeneous(f, *map(integer, parts[1:]))
     raise PatternError(f"unknown predicate {spec!r}")

@@ -229,6 +229,17 @@ class TestInputErrors:
             self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
                                    "2:0", "true", option, "1,,2")
 
+    @pytest.mark.parametrize("spec", ["size>=x", "contains:q", "homogeneous:a",
+                                      "homogeneous:0:z", "homogeneous:", "homogeneous:5"])
+    def test_bad_predicate_parameters(self, capsys, coloring_file, spec):
+        self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
+                               "2:0", spec, "--reservoir", "1,2", "--bound", "2")
+
+    def test_stem_outside_window(self, capsys, coloring_file):
+        self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
+                               "2:0", "homogeneous:0", "--stem=-1",
+                               "--reservoir", "1,2", "--bound", "2")
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, coloring_file, fixtures):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -52,6 +53,17 @@ class TestPredicates:
             catalogue_predicate("homogeneous:0")
         with pytest.raises(PatternError):
             catalogue_predicate("whatever")
+
+    @pytest.mark.parametrize("spec", ["size>=x", "contains:q", "homogeneous:a",
+                                      "homogeneous:0:z", "homogeneous:"])
+    def test_catalogue_non_integer_parameter(self, spec):
+        with pytest.raises(PatternError, match=re.escape(repr(spec))):
+            catalogue_predicate(spec, f=constant_coloring(4))
+
+    @pytest.mark.parametrize("spec", ["homogeneous:5", "homogeneous:-1:2", "homogeneous:0:2:2"])
+    def test_catalogue_rejects_bad_homogeneity(self, spec):
+        with pytest.raises(PatternError):
+            catalogue_predicate(spec, f=constant_coloring(4))
 
 
 class TestOmegaQuestion:
@@ -151,6 +163,21 @@ class TestDisjunctiveQuestion:
             f, [], [], range(1, 6), P, P, pred_false(), pred_false(), 5,
             collect_failure=True)
         assert not verdict and set(fail) == set(range(6))
+
+
+class TestStemChecks:
+    @pytest.mark.parametrize("stem, X", [([-1], [1, 2]), ([-1], [3]), ([10], [])])
+    def test_stem_outside_window_rejected(self, stem, X):
+        f = constant_coloring(10)
+        phi = pred_homogeneous(f, 0)
+        p = parse_pattern("2:0")
+        for evaluate in (
+            lambda: eval_question_omega(f, stem, X, p, phi, 2),
+            lambda: eval_question_i(f, stem, X, p, phi, 2),
+            lambda: eval_question_disjunctive(f, [], stem, X, p, p, phi, phi, 2),
+        ):
+            with pytest.raises(PatternError, match="outside window"):
+                evaluate()
 
 
 class TestLeastBound:
