@@ -287,7 +287,8 @@ def cmd_verify_lemmas(args) -> int:
     results = run_suites(seed=args.seed, count=args.count, names=names)
     failed = False
     for res in results:
-        status = "skip" if res.skipped else ("pass" if res.passed else "FAIL")
+        status = ("skip" if res.skipped else "exhausted" if res.exhausted
+                  else "pass" if res.passed else "FAIL")
         rec = {"suite": res.name, "runs": res.runs, "status": status,
                "seed": args.seed}
         print(pio.emit_record(rec))

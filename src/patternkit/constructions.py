@@ -66,13 +66,25 @@ def cantor_unpair(k: int) -> tuple[int, int]:
     return w - b, b
 
 
+def _index_size(idx: int) -> int:
+    """index_pattern(idx).size, without building the pattern."""
+    l = 2
+    while idx >= 2 ** (l * (l - 1) // 2):
+        idx -= 2 ** (l * (l - 1) // 2)
+        l += 1
+    return l
+
+
+# _H[k] == h_bound(k); extended on demand, one requirement at a time
+_H = [0]
+
+
 def h_bound(k: int) -> int:
     """Total restraint capacity of all requirements of priority below k."""
-    total = 0
-    for kk in range(k):
-        a, _e = cantor_unpair(kk)
-        total += index_pattern(a).size - 1
-    return total
+    while len(_H) <= k:
+        a, _e = cantor_unpair(len(_H) - 1)
+        _H.append(_H[-1] + _index_size(a) - 1)
+    return _H[max(k, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +279,8 @@ def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, f_so_far,
     ties broken toward the least minimum element; None when fewer exist."""
     if count < 1:
         raise PatternError("block count must be >= 1")
-    elems = sorted(o.query(e, s))
+    # _ages, when given, is keyed by the stage-s enumeration itself
+    elems = sorted(_ages if _ages is not None else o.query(e, s))
     pm_ = minus(p)
     if count * pm_.size > len(elems):
         return None

@@ -126,7 +126,8 @@ def eval_question_i(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
     ss = sorted(sigma)
     Xn = _reservoir(f, n, [ss], X)
     rhos = _candidates(f, ss, Xn, p, phi)
-    fail = next(((h0, h1) for h0 in _colorings(Xn) for h1 in _colorings(Xn) if not any(
+    gs = list(_colorings(Xn))
+    fail = next(((h0, h1) for h0 in gs for h1 in gs if not any(
         len({h0(x) for x in rho}) <= 1 and len({h1(x) for x in rho}) <= 1
         and fg_avoids(f, h0, rho, p) for rho in rhos())), None)
     return _result(fail, n, collect_failure)

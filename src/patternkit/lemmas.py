@@ -34,29 +34,43 @@ from .classifier import enumerate_patterns
 from .stabilize import fg_avoids
 
 
+# A rejection-sampling suite gives up after this many draws per requested run.
+ATTEMPTS_PER_RUN = 100
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
     runs: int
     counterexamples: tuple[str, ...] = ()
     skipped: bool = False
+    exhausted: bool = False    # attempt cap hit before `count` runs were accepted
 
     @property
     def passed(self) -> bool:
-        return not self.counterexamples and not self.skipped
+        return not self.counterexamples and not self.skipped and not self.exhausted
+
+
+def _coin(rng: random.Random) -> int:
+    """rng.randint(0, 1), drawn from the generator exactly as CPython draws it
+    (two bits, redrawn while >= 2), without randint's call overhead."""
+    r = rng.getrandbits(2)
+    while r >= 2:
+        r = rng.getrandbits(2)
+    return r
 
 
 def _random_pattern(rng: random.Random, max_size: int, min_size: int = 2) -> Pattern:
     size = rng.randint(min_size, max_size)
     npairs = size * (size - 1) // 2
-    return Pattern(size, tuple(rng.randint(0, 1) for _ in range(npairs)))
+    return Pattern(size, tuple(_coin(rng) for _ in range(npairs)))
 
 
 def _random_coloring(rng: random.Random, window: int) -> FiniteColoring:
     m = np.zeros((window, window), dtype=np.uint8)
     for x in range(window):
         for y in range(x + 1, window):
-            m[x, y] = m[y, x] = rng.randint(0, 1)
+            m[x, y] = m[y, x] = _coin(rng)
     return FiniteColoring(window, m)
 
 
@@ -137,7 +151,7 @@ def _stabilized_instance(rng: random.Random, max_window: int = 10,
     split = rng.randint(1, window - 1)
     E = sorted(x for x in range(split) if rng.random() < 0.7)
     F = sorted(y for y in range(split, window) if rng.random() < 0.7)
-    g = PartialColoring({x: rng.randint(0, 1) for x in range(window)})
+    g = PartialColoring({x: _coin(rng) for x in range(window)})
     m = f.matrix.copy()
     for x in E:
         for y in F:
@@ -150,7 +164,9 @@ def suite_stabilized_avoidance_equivalence(rng: random.Random,
     """With F stabilizing E under g: E is witnessed-avoiding for p exactly
     when E plus any single element of F still avoids p."""
     bad, runs = [], 0
-    while runs < count:
+    for _ in range(ATTEMPTS_PER_RUN * count):
+        if runs == count:
+            break
         f, g, E, F, p = _stabilized_instance(rng)
         if not F:
             continue
@@ -160,14 +176,16 @@ def suite_stabilized_avoidance_equivalence(rng: random.Random,
         if lhs != rhs:
             bad.append(f"{p} E={E} F={F}")
     return SuiteResult("stabilized-avoidance-equivalence", runs, tuple(bad[:5]),
-                       skipped=count == 0)
+                       skipped=count == 0, exhausted=runs < count)
 
 
 def suite_avoidance_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
     """Irreducible p: if F stabilizes E under g and both sides are
     witnessed-avoiding, so is their union."""
     bad, runs = [], 0
-    while runs < count:
+    for _ in range(ATTEMPTS_PER_RUN * count):
+        if runs == count:
+            break
         f, g, E, F, p = _stabilized_instance(rng)
         if p.size < 3 or not is_irreducible(p):
             continue
@@ -176,7 +194,8 @@ def suite_avoidance_union(rng: random.Random, count: int = 10_000) -> SuiteResul
         runs += 1
         if not fg_avoids(f, g, sorted(set(E) | set(F)), p):
             bad.append(f"{p} E={E} F={F}")
-    return SuiteResult("avoidance-union", runs, tuple(bad[:5]), skipped=count == 0)
+    return SuiteResult("avoidance-union", runs, tuple(bad[:5]), skipped=count == 0,
+                       exhausted=runs < count)
 
 
 def _merging_pool(max_size: int = 4) -> dict[int, list[Pattern]]:
@@ -197,17 +216,19 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
     a witnessed-avoiding union."""
     pool = _merging_pool()
     bad, runs = [], 0
-    while runs < count:
-        i = rng.randint(0, 1)
+    for _ in range(ATTEMPTS_PER_RUN * count):
+        if runs == count:
+            break
+        i = _coin(rng)
         p = rng.choice(pool[i])
         window = rng.randint(4, 10)
         f0 = _random_coloring(rng, window)
         split = rng.randint(1, window - 1)
         E = sorted(x for x in range(split) if rng.random() < 0.6)
         F = sorted(y for y in range(split, window) if rng.random() < 0.6)
-        gE = rng.randint(0, 1)
+        gE = _coin(rng)
         g = PartialColoring({**{x: gE for x in E}, **{y: 1 - i for y in F}})
-        cross = rng.randint(0, 1)
+        cross = _coin(rng)
         m = f0.matrix.copy()
         for x in E:
             for y in F:
@@ -219,7 +240,8 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
         runs += 1
         if not fg_avoids(f, g, union, p):
             bad.append(f"{p} i={i} E={E} F={F} cross={cross}")
-    return SuiteResult("merging-union", runs, tuple(bad[:5]), skipped=count == 0)
+    return SuiteResult("merging-union", runs, tuple(bad[:5]), skipped=count == 0,
+                       exhausted=runs < count)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

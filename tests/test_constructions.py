@@ -1,8 +1,11 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import patternkit.constructions as constructions
 from patternkit.core import (
     PatternError,
     constant_coloring,
@@ -32,6 +35,8 @@ from patternkit.constructions import (
     requires_attention_measure,
     verify_trace,
 )
+from patternkit.io import parse_approx_oracle
+from conftest import random_coloring
 
 
 class TestIndexing:
@@ -62,6 +67,22 @@ class TestIndexing:
         assert h_bound(0) == 0
         assert h_bound(1) == 1
         assert h_bound(10) == 13
+
+    def test_h_bound_matches_linear_sum(self, monkeypatch):
+        # the sum h_bound once recomputed on every call, as the oracle
+        want, total = [], 0
+        for kk in range(3000):
+            want.append(total)
+            a, _e = cantor_unpair(kk)
+            total += index_pattern(a).size - 1
+        monkeypatch.setattr(constructions, "_H", [0])
+        assert h_bound(2999) == want[2999]
+        assert [h_bound(k) for k in range(3000)] == want
+        assert h_bound(-1) == 0
+
+    def test_index_size_matches_index_pattern(self):
+        for idx in range(2 ** 12):
+            assert constructions._index_size(idx) == index_pattern(idx).size
 
 
 class TestApproxOracle:
@@ -123,6 +144,28 @@ class TestOldestBlocks:
         with pytest.raises(PatternError):
             oldest_blocks(o, 0, 5, parse_pattern("2:0"), constant_coloring(6), 0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_given_ages_agree_with_queried(self, seed):
+        # the builder passes its incremental ages; without them oldest_blocks
+        # queries the oracle itself, and the answers must be the same
+        rng = random.Random(seed)
+        window = 24
+        o = ApproxOracle(tuple(
+            (0, rng.randrange(window), frozenset(rng.sample(range(window), rng.randint(0, 12))))
+            for _ in range(5)))
+        f = random_coloring(rng, window)
+        ages, prev = {}, frozenset()
+        for s in range(window):
+            cur = o.query(0, s)
+            # keyed in descending order: oldest_blocks must not rely on key order
+            ages = {x: (ages.get(x, -1) + 1 if x in prev else 0)
+                    for x in sorted(cur, reverse=True)}
+            prev = cur
+            for p in map(parse_pattern, ("2:1", "3:010", "3:110", "4:010110")):
+                for count in (1, 2, 3):
+                    assert oldest_blocks(o, 0, s, p, f, count, _ages=ages) == \
+                        oldest_blocks(o, 0, s, p, f, count)
+
 
 class TestDncBuilder:
     def test_empty_oracle_all_zero(self):
@@ -157,6 +200,18 @@ class TestDncBuilder:
         for ev in trace.events:
             a, e = map(int, ev.requirement[2:-1].split(","))
             assert cantor_pair(a, e) < ev.stage
+
+    def test_fixture_digest_500_stages(self, fixtures):
+        # taken from the builder before h_bound became a prefix table and
+        # oldest_blocks took the builder's own enumeration
+        o = parse_approx_oracle((fixtures / "dnc_oracle.txt").read_text())
+        f, trace = build_dnc_coloring(o, 500)
+        h = hashlib.sha256(f.matrix.tobytes())
+        for ev in trace.events:
+            h.update(repr((ev.stage, ev.kind, ev.requirement, ev.detail)).encode())
+        assert len(trace.events) == 8778
+        assert h.hexdigest() == \
+            "bb44259d1e20f56b8611dbdf9430ba5fc97cc86ed3c6572bfc744ba2a76487b2"
 
 
 class TestPrefixFunctional:

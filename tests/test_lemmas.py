@@ -3,6 +3,9 @@ import random
 import pytest
 
 import patternkit.lemmas as lemmas
+from patternkit.cli import main
+from patternkit.core import PartialColoring, constant_coloring, parse_pattern
+from patternkit.io import parse_record
 from patternkit.lemmas import SUITES, run_suites
 
 
@@ -46,3 +49,38 @@ class TestSuites:
                             lambda p, i: False if p.size == 4 else real(p, i))
         result = lemmas.suite_default_merging(max_size=4)
         assert not result.passed
+
+
+class TestCoin:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**40 + 3])
+    def test_same_draws_and_state_as_randint(self, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [lemmas._coin(a) for _ in range(10**5)] == \
+            [b.randint(0, 1) for _ in range(10**5)]
+        assert a.getstate() == b.getstate()
+
+
+def _never_stabilized(rng):
+    # F empty and a size-2 pattern: rejected by both stabilized suites
+    return constant_coloring(4), PartialColoring({}), [0], [], parse_pattern("2:0")
+
+
+class TestAttemptCap:
+    @pytest.mark.parametrize("suite, attr, stub", [
+        (lemmas.suite_stabilized_avoidance_equivalence, "_stabilized_instance",
+         _never_stabilized),
+        (lemmas.suite_avoidance_union, "_stabilized_instance", _never_stabilized),
+        (lemmas.suite_merging_union, "avoids", lambda f, H, p: False),
+    ])
+    def test_never_accepting_generator_exhausts(self, monkeypatch, suite, attr, stub):
+        monkeypatch.setattr(lemmas, attr, stub)
+        result = suite(random.Random(0), 3)
+        assert result.exhausted and not result.passed and not result.skipped
+        assert result.runs == 0
+
+    def test_cli_reports_exhausted(self, monkeypatch, capsys):
+        monkeypatch.setattr(lemmas, "_stabilized_instance", _never_stabilized)
+        code = main(["verify-lemmas", "--count", "2", "--suites", "avoidance-union"])
+        rec = parse_record(capsys.readouterr().out.strip())
+        assert code == 1
+        assert rec["status"] == "exhausted" and rec["runs"] == "0"
