@@ -14,8 +14,8 @@ which additionally closes the set under relabeling of the smaller pattern).
 The verdicts themselves always quantify over the order-preserving induced
 sub-patterns: divergence and merging refer to a pattern's last vertex, and a
 relabeled copy's last vertex does not correspond to anything in the host
-pattern, so such copies cannot witness preservation.  Reports still record
-the mode used for witness enumeration.
+pattern, so such copies cannot witness preservation.  So only `subpatterns`
+takes a mode; the verdicts, reports and census take none.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from .core import Pattern, PatternError, format_pattern, pattern_from_colors, vertex_maps
 from .algebra import ClassificationFlags, classify
@@ -60,42 +59,44 @@ def subpatterns(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
     return frozenset(found)
 
 
-def _verdict_pool(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
-    # mode is validated but the verdict pool is always the order-preserving
-    # one; see the module docstring
-    if mode not in ("injective", "monotone"):
-        raise PatternError(f"unknown embedding mode {mode!r}")
-    return subpatterns(p, "monotone")
-
-
-def preserves_omega_hyp(p: Pattern, mode: str = "injective") -> bool:
-    return any(
-        classify(q).divergent and classify(q).irreducible
-        for q in _verdict_pool(p, mode)
-    )
-
-
-def preserves_one_2dim(p: Pattern, mode: str = "injective") -> bool:
-    has0 = has1 = False
-    for q in _verdict_pool(p, mode):
+def _least_witnesses(p: Pattern) -> dict[str, Pattern]:
+    """The least order-preserving sub-pattern of p, in (size, bits) order,
+    for each witness kind it has: divergent and irreducible ("omega_hyp"),
+    and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
+    "one_2dim_1merging", "omega_2dim")."""
+    found: dict[str, Pattern] = {}
+    for q in sorted(subpatterns(p, "monotone"), key=lambda q: (q.size, q.bits)):
         fl = classify(q)
-        if fl.divergent and fl.irreducible:
-            has0 = has0 or fl.merging0
-            has1 = has1 or fl.merging1
-    return has0 and has1
+        if not (fl.divergent and fl.irreducible):
+            continue
+        for key, holds in (("omega_hyp", True),
+                           ("one_2dim_0merging", fl.merging0),
+                           ("one_2dim_1merging", fl.merging1),
+                           ("omega_2dim", fl.merging)):
+            if holds:
+                found.setdefault(key, q)
+    return found
 
 
-def preserves_omega_2dim(p: Pattern, mode: str = "injective") -> bool:
-    return any(
-        (fl := classify(q)).divergent and fl.irreducible and fl.merging
-        for q in _verdict_pool(p, mode)
-    )
+def _one_2dim(w: dict[str, Pattern]) -> bool:
+    return "one_2dim_0merging" in w and "one_2dim_1merging" in w
+
+
+def preserves_omega_hyp(p: Pattern) -> bool:
+    return "omega_hyp" in _least_witnesses(p)
+
+
+def preserves_one_2dim(p: Pattern) -> bool:
+    return _one_2dim(_least_witnesses(p))
+
+
+def preserves_omega_2dim(p: Pattern) -> bool:
+    return "omega_2dim" in _least_witnesses(p)
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     pattern: Pattern
-    mode: str
     flags: ClassificationFlags
     verdict_omega_hyp: bool
     verdict_one_2dim: bool
@@ -103,37 +104,19 @@ class ClassificationReport:
     witnesses: dict[str, str] = field(default_factory=dict)
 
 
-def _least_witness(p: Pattern, mode: str, want) -> Optional[Pattern]:
-    pool = sorted(_verdict_pool(p, mode), key=lambda q: (q.size, q.bits))
-    for q in pool:
-        if want(classify(q)):
-            return q
-    return None
-
-
-def report(p: Pattern, mode: str = "injective") -> ClassificationReport:
-    """Full report with least witnesses in (size, bitstring) order."""
-    witnesses: dict[str, str] = {}
-    w = _least_witness(p, mode, lambda fl: fl.divergent and fl.irreducible)
-    if w is not None:
-        witnesses["omega_hyp"] = format_pattern(w)
-    w0 = _least_witness(p, mode, lambda fl: fl.divergent and fl.irreducible and fl.merging0)
-    w1 = _least_witness(p, mode, lambda fl: fl.divergent and fl.irreducible and fl.merging1)
-    if w0 is not None and w1 is not None:
-        witnesses["one_2dim_0merging"] = format_pattern(w0)
-        witnesses["one_2dim_1merging"] = format_pattern(w1)
-    wm = _least_witness(
-        p, mode, lambda fl: fl.divergent and fl.irreducible and fl.merging)
-    if wm is not None:
-        witnesses["omega_2dim"] = format_pattern(wm)
+def report(p: Pattern) -> ClassificationReport:
+    """Full report with least witnesses in (size, bitstring) order; the two
+    one_2dim witnesses are listed only when both exist."""
+    w = _least_witnesses(p)
+    one_2dim = _one_2dim(w)
     return ClassificationReport(
         pattern=p,
-        mode=mode,
         flags=classify(p),
-        verdict_omega_hyp=w is not None,
-        verdict_one_2dim=w0 is not None and w1 is not None,
-        verdict_omega_2dim=wm is not None,
-        witnesses=witnesses,
+        verdict_omega_hyp="omega_hyp" in w,
+        verdict_one_2dim=one_2dim,
+        verdict_omega_2dim="omega_2dim" in w,
+        witnesses={k: format_pattern(q) for k, q in w.items()
+                   if one_2dim or not k.startswith("one_2dim")},
     )
 
 
@@ -149,7 +132,6 @@ class CensusRow:
 @dataclass(frozen=True)
 class Census:
     size: int
-    mode: str
     rows: tuple[CensusRow, ...]
 
     @property
@@ -176,17 +158,16 @@ class Census:
         }
 
 
-def census(size: int, mode: str = "injective", verdicts: bool = True) -> Census:
+def census(size: int, verdicts: bool = True) -> Census:
     """Classify every pattern of the given size; deterministic row order."""
     _check_guard(size)
     rows = []
     for p in enumerate_patterns(size):
         fl = classify(p)
         if verdicts:
-            oh = preserves_omega_hyp(p, mode)
-            o1 = preserves_one_2dim(p, mode)
-            o2 = preserves_omega_2dim(p, mode)
+            w = _least_witnesses(p)
+            oh, o1, o2 = "omega_hyp" in w, _one_2dim(w), "omega_2dim" in w
         else:
             oh = o1 = o2 = False
         rows.append(CensusRow(p, fl, oh, o1, o2))
-    return Census(size, mode, tuple(rows))
+    return Census(size, tuple(rows))

@@ -81,9 +81,9 @@ def _int_list(text: str, option: str) -> list[int]:
 
 def cmd_classify(args) -> int:
     p = parse_pattern(args.pattern)
-    rep = report(p, args.mode)
+    rep = report(p)
     if args.format == "records":
-        rec = {"pattern": format_pattern(p), "mode": rep.mode}
+        rec = {"pattern": format_pattern(p), "mode": args.mode}
         rec.update(_flags_record(rep.flags))
         rec.update({
             "omega_hyp": int(rep.verdict_omega_hyp),
@@ -94,7 +94,7 @@ def cmd_classify(args) -> int:
         print(pio.emit_record(rec))
         return 0
     fl = rep.flags
-    print(f"pattern {format_pattern(p)} (mode {rep.mode})")
+    print(f"pattern {format_pattern(p)} (mode {args.mode})")
     print(f"  divergent:   {_yn(fl.divergent)}")
     print(f"  irreducible: {_yn(fl.irreducible)}")
     print(f"  0-merging:   {_yn(fl.merging0)}")
@@ -108,7 +108,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    c = census(args.size, args.mode, verdicts=not args.no_verdicts)
+    c = census(args.size, verdicts=not args.no_verdicts)
     if args.format == "records":
         for row in c.rows:
             rec = {"pattern": format_pattern(row.pattern)}
@@ -121,7 +121,7 @@ def cmd_census(args) -> int:
                 })
             print(pio.emit_record(rec))
         return 0
-    print(f"census size={c.size} mode={c.mode} total={c.total}")
+    print(f"census size={c.size} mode={args.mode} total={c.total}")
     print(f"  divergent:               {c.count(lambda r: r.flags.divergent)}")
     print(f"  irreducible:             {c.count(lambda r: r.flags.irreducible)}")
     print(f"  divergent+irreducible:   "

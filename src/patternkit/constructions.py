@@ -25,6 +25,7 @@ from .core import (
     PatternError,
     StableColoring,
     minus,
+    realizes,
     restrict,
 )
 
@@ -318,6 +319,9 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
     # incremental ages per oracle index, updated once per stage
     ages: dict[int, dict[int, int]] = {e: {} for e in nonempty}
     prev_sets: dict[int, frozenset[int]] = {e: frozenset() for e in nonempty}
+    # (e, pattern, block count, label) of each requirement on a nonempty
+    # index, in priority order; requirement k joins at stage k + 1
+    reqs: list[tuple[int, Pattern, int, str]] = []
 
     for s in range(stages):
         for e in nonempty:
@@ -325,20 +329,20 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
             ages[e] = {x: (ages[e].get(x, -1) + 1 if x in prev_sets[e] else 0)
                        for x in cur}
             prev_sets[e] = cur
+        if s:
+            a, e = cantor_unpair(s - 1)
+            if e in nonempty:
+                reqs.append((e, index_pattern(a), h_bound(s - 1) + 1, f"R[{a},{e}]"))
         restrained: set[int] = set()
-        for k in range(s):
-            a, e = cantor_unpair(k)
-            if e not in nonempty or not prev_sets[e]:
+        for e, p, count, req in reqs:
+            if not prev_sets[e]:
                 continue
-            p = index_pattern(a)
-            count = h_bound(k) + 1
             blocks = oldest_blocks(o, e, s, p, matrix, count, _ages=ages[e])
             if blocks is None:
                 continue
             pick = next((b for b in blocks if not restrained & set(b)), None)
             if pick is None:
                 continue
-            req = f"R[{a},{e}]"
             restrained.update(pick)
             events.append(TraceEvent(s, "restrain", req,
                                      _detail(elements=",".join(map(str, pick)))))
@@ -617,7 +621,6 @@ def _check_p1(trace: ConstructionTrace, f) -> CheckResult:
         if pt.size == 1:
             continue
         for sel in itertools.product(*state):
-            from .core import realizes
             if not realizes(f, sel, pt):
                 return CheckResult("p1", False, None,
                                    f"{req}: selection {sel} fails")

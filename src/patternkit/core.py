@@ -64,11 +64,6 @@ class Pattern:
     def __repr__(self) -> str:
         return f"Pattern({format_pattern(self)!r})"
 
-    def pairs(self) -> Iterable[tuple[int, int, int]]:
-        """Yield (i, j, color) in lexicographic pair order."""
-        for i, j in itertools.combinations(range(self.size), 2):
-            yield i, j, self(i, j)
-
 
 def parse_pattern(text: str) -> Pattern:
     """Parse "l:bits" into a Pattern; inverse of format_pattern."""
@@ -94,11 +89,9 @@ def format_pattern(p: Pattern) -> str:
 
 
 def pattern_from_colors(size: int, colors) -> Pattern:
-    """Build a pattern from a callable or dict giving the color of each pair i < j."""
-    get = colors.__getitem__ if hasattr(colors, "__getitem__") else colors
-    bits = tuple(get((i, j)) if hasattr(colors, "__getitem__") else colors(i, j)
-                 for i, j in itertools.combinations(range(size), 2))
-    return Pattern(size, bits)
+    """Build a pattern from a callable giving the color of each pair i < j."""
+    return Pattern(size, tuple(colors(i, j)
+                               for i, j in itertools.combinations(range(size), 2)))
 
 
 def dual(p: Pattern) -> Pattern:

@@ -23,7 +23,7 @@ from .core import (
     coloring_from_function,
     find_realizer,
 )
-from .algebra import join
+from .algebra import classify, join
 
 
 class WindowExhausted(RuntimeError):
@@ -113,8 +113,6 @@ def extend_condition(f: FiniteColoring, c: Condition, x: int, p: Pattern) -> Con
     Requires p divergent and irreducible: divergence makes the fresh singleton
     stem vacuously safe, irreducibility makes the union safe.
     """
-    from .algebra import classify  # local import to avoid cycle at module load
-
     fl = classify(p)
     if not (fl.divergent and fl.irreducible):
         raise PatternError("condition extension needs a divergent irreducible pattern")
@@ -157,19 +155,12 @@ def greedy_avoid_join(f: FiniteColoring, H: Iterable[int], p: Pattern,
         raise PatternError(
             f"H does not avoid the joined pattern; realizer {sorted(witness)}")
 
+    # avoidance is closed downward, so a rejected z stays rejected once the
+    # prefix grows: one ascending pass picks what rescanning would
     chosen: list[int] = []
-    remaining = list(hs)
-    while True:
-        pick = None
-        for z in remaining:
-            if avoids(f, chosen + [z], p):
-                pick = z
-                break
-        if pick is None:
-            break
-        chosen.append(pick)
-        chosen.sort()
-        remaining.remove(pick)
+    remaining: list[int] = []
+    for z in hs:
+        (chosen if avoids(f, chosen + [z], p) else remaining).append(z)
 
     if not remaining:
         return GreedySplit("p", frozenset(chosen), avoids(f, chosen, p), False)

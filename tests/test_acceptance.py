@@ -106,11 +106,11 @@ def test_07_reducible_example_regression():
 
 
 def test_08_hem_verdicts_and_mode_agreement():
+    # the verdicts take no mode: both modes share the order-preserving pool
     p = parse_pattern(HEM)
-    for mode in ("injective", "monotone"):
-        assert preserves_omega_hyp(p, mode)
-        assert preserves_one_2dim(p, mode)
-        assert not preserves_omega_2dim(p, mode)
+    assert preserves_omega_hyp(p)
+    assert preserves_one_2dim(p)
+    assert not preserves_omega_2dim(p)
 
 
 def test_09_stabilized_avoidance_equivalence_10k():

@@ -73,10 +73,9 @@ class TestVerdicts:
         assert not preserves_omega_2dim(p)
 
     def test_hem_verdicts(self):
-        for mode in ("injective", "monotone"):
-            assert preserves_omega_hyp(HEM, mode)
-            assert preserves_one_2dim(HEM, mode)
-            assert not preserves_omega_2dim(HEM, mode)
+        assert preserves_omega_hyp(HEM)
+        assert preserves_one_2dim(HEM)
+        assert not preserves_omega_2dim(HEM)
 
     def test_some_size4_pattern_preserves_omega_2dim(self):
         c = census(4)
@@ -105,10 +104,10 @@ class TestVerdicts:
     def test_verdict_monotone_under_monotone_subpattern(self):
         for p in enumerate_patterns(4):
             for q in subpatterns(p, "monotone"):
-                if preserves_omega_hyp(q, "monotone"):
-                    assert preserves_omega_hyp(p, "monotone")
-                if preserves_omega_2dim(q, "monotone"):
-                    assert preserves_omega_2dim(p, "monotone")
+                if preserves_omega_hyp(q):
+                    assert preserves_omega_hyp(p)
+                if preserves_omega_2dim(q):
+                    assert preserves_omega_2dim(p)
 
 
 class TestReport:
@@ -120,9 +119,6 @@ class TestReport:
         assert rep.witnesses["one_2dim_0merging"] == "3:010"
         assert rep.witnesses["one_2dim_1merging"] == "3:101"
         assert "omega_2dim" not in rep.witnesses
-
-    def test_report_records_mode(self):
-        assert report(HEM, "monotone").mode == "monotone"
 
     def test_witnesses_are_least(self):
         rep = report(parse_pattern("3:101"))
@@ -155,3 +151,74 @@ class TestCensus:
         assert vc["omega_hyp"] == 2
         assert vc["one_2dim"] == 0
         assert vc["omega_2dim"] == 0
+
+
+# ---------------------------------------------------------------------------
+# differential check against the per-verdict scans the single witness scan
+# replaced: three `any` scans for the predicates, one sorted pass per witness
+
+
+def _old_omega_hyp(p):
+    return any(classify(q).divergent and classify(q).irreducible
+               for q in subpatterns(p, "monotone"))
+
+
+def _old_one_2dim(p):
+    has0 = has1 = False
+    for q in subpatterns(p, "monotone"):
+        fl = classify(q)
+        if fl.divergent and fl.irreducible:
+            has0 = has0 or fl.merging0
+            has1 = has1 or fl.merging1
+    return has0 and has1
+
+
+def _old_omega_2dim(p):
+    return any((fl := classify(q)).divergent and fl.irreducible and fl.merging
+               for q in subpatterns(p, "monotone"))
+
+
+def _old_least_witness(p, want):
+    for q in sorted(subpatterns(p, "monotone"), key=lambda q: (q.size, q.bits)):
+        if want(classify(q)):
+            return q
+    return None
+
+
+def _old_report(p):
+    """(omega_hyp, one_2dim, omega_2dim, witnesses) as the four passes gave them."""
+    witnesses = {}
+    w = _old_least_witness(p, lambda fl: fl.divergent and fl.irreducible)
+    if w is not None:
+        witnesses["omega_hyp"] = str(w)
+    w0 = _old_least_witness(
+        p, lambda fl: fl.divergent and fl.irreducible and fl.merging0)
+    w1 = _old_least_witness(
+        p, lambda fl: fl.divergent and fl.irreducible and fl.merging1)
+    if w0 is not None and w1 is not None:
+        witnesses["one_2dim_0merging"] = str(w0)
+        witnesses["one_2dim_1merging"] = str(w1)
+    wm = _old_least_witness(
+        p, lambda fl: fl.divergent and fl.irreducible and fl.merging)
+    if wm is not None:
+        witnesses["omega_2dim"] = str(wm)
+    return (w is not None, w0 is not None and w1 is not None, wm is not None,
+            witnesses)
+
+
+class TestWitnessScanDifferential:
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_matches_old_scans_exhaustively(self, size):
+        c = census(size)
+        assert [r.pattern for r in c.rows] == enumerate_patterns(size)
+        for row in c.rows:
+            p = row.pattern
+            verdicts = (_old_omega_hyp(p), _old_one_2dim(p), _old_omega_2dim(p))
+            assert (preserves_omega_hyp(p), preserves_one_2dim(p),
+                    preserves_omega_2dim(p)) == verdicts
+            assert (row.omega_hyp, row.one_2dim, row.omega_2dim) == verdicts
+            assert row.flags == classify(p)
+            rep = report(p)
+            assert (rep.verdict_omega_hyp, rep.verdict_one_2dim,
+                    rep.verdict_omega_2dim, rep.witnesses) == _old_report(p)
+            assert rep.flags == classify(p)

@@ -56,6 +56,15 @@ class TestCensus:
         assert sum(int(r["divergent"]) & int(r["irreducible"]) for r in recs) == 2
 
 
+class TestMode:
+    def test_classify_and_census_print_mode(self, capsys):
+        _, out, _ = run_cli(capsys, "classify", "3:010", "--mode", "monotone",
+                            "--format", "records")
+        assert "mode:monotone" in out
+        _, out, _ = run_cli(capsys, "census", "3", "--mode", "monotone")
+        assert "mode=monotone" in out
+
+
 class TestAlgebraCommands:
     def test_decompose(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "4:000101")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -317,3 +318,71 @@ class TestTrees:
     def test_homogeneous_depth_guard(self):
         with pytest.raises(PatternError):
             homogeneous_for_tree(full_binary_tree(2), [0], 5)
+
+
+def _old_greedy_avoid_join(f, H, p, q):
+    """greedy_avoid_join with its former pick loop, which rescanned the
+    remaining elements after every pick."""
+    hs = sorted(H)
+    if find_realizer(f, hs, join(p, q)) is not None:
+        raise PatternError("H does not avoid the joined pattern")
+    chosen, remaining = [], list(hs)
+    while True:
+        pick = None
+        for z in remaining:
+            if avoids(f, chosen + [z], p):
+                pick = z
+                break
+        if pick is None:
+            break
+        chosen.append(pick)
+        chosen.sort()
+        remaining.remove(pick)
+    if not remaining:
+        return ("p", frozenset(chosen), avoids(f, chosen, p), False)
+    above = [y for y in hs if y > max(chosen)] if chosen else hs
+    tail, _ = find_stabilizing_tail(f, chosen, above)
+    tail_elems = sorted(tail)
+    if avoids(f, tail_elems, q) and len(tail_elems) >= len(chosen):
+        return ("q", frozenset(tail_elems), True, False)
+    return ("p", frozenset(chosen), avoids(f, chosen, p), True)
+
+
+def _greedy_outcome(greedy, f, H, p, q):
+    try:
+        split = greedy(f, H, p, q)
+    except PatternError:
+        return "rejected"
+    if isinstance(split, tuple):
+        return split
+    return (split.side, split.elements, split.verified, split.fallback)
+
+
+class TestGreedyPickLoopDifferential:
+    SMALL = [parse_pattern(t) for t in
+             ("1:", "2:0", "2:1", "3:000", "3:010", "3:101", "3:110", "3:111")]
+
+    def _agree(self, f, H, p, q):
+        assert (_greedy_outcome(greedy_avoid_join, f, H, p, q)
+                == _greedy_outcome(_old_greedy_avoid_join, f, H, p, q))
+
+    def test_window4_exhaustive(self):
+        pairs = list(itertools.combinations(range(4), 2))
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            colors = dict(zip(pairs, bits))
+            f = coloring_from_function(4, lambda x, y: colors[(x, y)])
+            for r in range(1, 5):
+                for H in itertools.combinations(range(4), r):
+                    for p in self.SMALL:
+                        for q in self.SMALL:
+                            self._agree(f, H, p, q)
+
+    def test_seeded_larger_windows(self):
+        rng = random.Random(5)
+        pool = [parse_pattern(t) for t in
+                ("2:0", "2:1", "3:010", "3:101", "3:001", "4:010110", "4:000101")]
+        for _ in range(300):
+            n = rng.randint(6, 12)
+            f = random_coloring(rng, n)
+            H = rng.sample(range(n), rng.randint(1, n))
+            self._agree(f, H, rng.choice(pool), rng.choice(pool))
