@@ -1,10 +1,11 @@
 """The two search kernels: the least realizer and the maximum avoiding subset.
 
-A coloring enters as its symmetric 0/1 matrix, indexed `mat[x, y]`; a
-pattern as its colour matrix from `pattern_matrix`; element lists as plain
-increasing lists.  The realizer search is the only one in the package:
-strong appearance, witnessed avoidance and the admissibility step of the
-avoiding-subset search all call it with a `last` colouring.
+A coloring enters as its rows, int bit masks with bit y of `rows[x]` the
+colour of (x, y); a pattern as its colour matrix from `pattern_matrix`;
+element lists as plain increasing lists.  The realizer search is the only one
+in the package: strong appearance, witnessed avoidance and the admissibility
+step of the avoiding-subset search all call it with `last`, the int mask of
+the elements whose colour toward a virtual top vertex is 1.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ def pattern_matrix(p) -> tuple[tuple[int, ...], ...]:
     return _pattern_matrix(p.size, p.bits)
 
 
-def lex_least_realizer(mat, elems, pm, last=None) -> Optional[list[int]]:
+def lex_least_realizer(rows, elems, pm, last=None) -> Optional[list[int]]:
     """Lexicographically least increasing tuple of elems realizing pm, or None.
 
-    With `last`, a colour per element toward a virtual top vertex, the tuple
-    realizes pm minus its last vertex and each x_i must also have
-    last[x_i] == pm[i][-1].
+    With `last`, the mask of the elements whose colour toward a virtual top
+    vertex is 1, the tuple realizes pm minus its last vertex and each x_i must
+    also have bit x_i of last equal to pm[i][-1].
     """
     l = len(pm) - (last is not None)
     n = len(elems)
@@ -45,10 +46,11 @@ def lex_least_realizer(mat, elems, pm, last=None) -> Optional[list[int]]:
         want = pm[d]
         for k in range(start, n - l + d + 1):
             e = elems[k]
-            if last is not None and last[e] != want[-1]:
+            if last is not None and last >> e & 1 != want[-1]:
                 continue
+            row = rows[e]
             for i, x in enumerate(out):
-                if mat[x, e] != want[i]:
+                if row >> x & 1 != want[i]:
                     break
             else:
                 out.append(e)
@@ -60,7 +62,7 @@ def lex_least_realizer(mat, elems, pm, last=None) -> Optional[list[int]]:
     return out if extend(0) else None
 
 
-def max_avoiding_elems(mat, elems, pm) -> list[int]:
+def max_avoiding_elems(rows, elems, pm) -> list[int]:
     """Maximum-cardinality subset of elems avoiding the pattern; the first one
     an include-first scan of elems finds, which is the lex-least."""
     if len(pm) == 1:
@@ -78,7 +80,7 @@ def max_avoiding_elems(mat, elems, pm) -> list[int]:
             return
         e = elems[idx]
         # chosen avoids p, so chosen + [e] does unless e tops a realizer
-        if lex_least_realizer(mat, chosen, pm, mat[:, e]) is None:
+        if lex_least_realizer(rows, chosen, pm, rows[e]) is None:
             chosen.append(e)
             walk(idx + 1)
             chosen.pop()

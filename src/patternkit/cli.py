@@ -279,6 +279,8 @@ def cmd_tree2col(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.count < 0:
+        raise PatternError(f"--count must be nonnegative, got {args.count}")
     names = args.suites.split(",") if args.suites else None
     if names:
         unknown = [n for n in names if n not in SUITES]

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .core import (
     FiniteColoring,
@@ -272,12 +270,13 @@ class ConstructionTrace:
 # no-injury builder against enumeration approximations
 
 
-def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, f_so_far,
+def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, rows: Sequence[int],
                   count: int, _ages: Optional[dict[int, int]] = None
                   ) -> Optional[list[list[int]]]:
     """Up to `count` pairwise disjoint realizers of the truncation of p inside
-    the stage-s enumeration, picked greedily by decreasing minimum age with
-    ties broken toward the least minimum element; None when fewer exist."""
+    the stage-s enumeration, under the coloring built so far (its rows, as in
+    FiniteColoring), picked greedily by decreasing minimum age with ties
+    broken toward the least minimum element; None when fewer exist."""
     if count < 1:
         raise PatternError("block count must be >= 1")
     # _ages, when given, is keyed by the stage-s enumeration itself
@@ -285,7 +284,6 @@ def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, f_so_far,
     pm_ = minus(p)
     if count * pm_.size > len(elems):
         return None
-    mat = f_so_far.matrix if isinstance(f_so_far, FiniteColoring) else np.asarray(f_so_far)
     pmat = _kernels.pattern_matrix(pm_)
     ages = _ages if _ages is not None else {x: age(o, e, x, s) for x in elems}
     blocks: list[list[int]] = []
@@ -294,7 +292,7 @@ def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, f_so_far,
         hit = None
         for t in sorted({ages[x] for x in remaining}, reverse=True):
             sub = [x for x in remaining if ages[x] >= t]
-            hit = _kernels.lex_least_realizer(mat, sub, pmat)
+            hit = _kernels.lex_least_realizer(rows, sub, pmat)
             if hit is not None:
                 break
         if hit is None:
@@ -313,7 +311,7 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
     stage top; unassigned pairs stay 0."""
     if stages < 1:
         raise PatternError("need at least one stage")
-    matrix = np.zeros((stages, stages), dtype=np.uint8)
+    rows = [0] * stages
     events: list[TraceEvent] = []
     nonempty = set(o.indices())
     # incremental ages per oracle index, updated once per stage
@@ -337,7 +335,7 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
         for e, p, count, req in reqs:
             if not prev_sets[e]:
                 continue
-            blocks = oldest_blocks(o, e, s, p, matrix, count, _ages=ages[e])
+            blocks = oldest_blocks(o, e, s, p, rows, count, _ages=ages[e])
             if blocks is None:
                 continue
             pick = next((b for b in blocks if not restrained & set(b)), None)
@@ -348,11 +346,12 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
                                      _detail(elements=",".join(map(str, pick)))))
             for i, x in enumerate(pick):
                 c = p(i, p.size - 1)
-                matrix[x, s] = matrix[s, x] = c
+                rows[x] |= c << s  # each pair (x, s) is colored once, at stage s
+                rows[s] |= c << x
                 events.append(TraceEvent(s, "color", req, _detail(x=x, y=s, c=c)))
             events.append(TraceEvent(s, "act", req,
                                      _detail(block=",".join(map(str, pick)))))
-    f = FiniteColoring(stages, matrix)
+    f = FiniteColoring(stages, tuple(rows))
     trace = ConstructionTrace("dnc", stages, tuple(events), final={}, aux={"oracle": o})
     return f, trace
 
@@ -378,16 +377,16 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     markers = [0] * n
     states: list[list[frozenset[int]]] = [[] for _ in range(n)]
     commitments: dict[int, int] = {}
-    matrix = np.zeros((stages, stages), dtype=np.uint8)
+    rows = [0] * stages
     events: list[TraceEvent] = []
 
     for s in range(stages):
         # color first: the attention stage itself lies inside the interval
         # being stacked, so it must carry the commitments in force before
         # this attention
-        for x in range(s):
-            c = commitments.get(x, 0)
-            matrix[x, s] = matrix[s, x] = c
+        for x, c in commitments.items():  # every committed x lies below s
+            rows[x] |= c << s
+            rows[s] |= c << x
         winner = next((j for j in range(n)
                        if requires_attention_measure(states[j], fs[j],
                                                      markers[j], s, patterns[j])),
@@ -416,7 +415,7 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
                         commitments[x] = c
                         events.append(TraceEvent(s, "commit", req,
                                                  _detail(x=x, limit=c, start=s)))
-    f = FiniteColoring(stages, matrix)
+    f = FiniteColoring(stages, tuple(rows))
     trace = ConstructionTrace(
         "measure", stages, tuple(events),
         final={
@@ -446,16 +445,16 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
     fully = [False] * n
     restraints: list[set[int]] = [set() for _ in range(n)]
     commitments: dict[int, int] = {}
-    matrix = np.zeros((stages, stages), dtype=np.uint8)
+    rows = [0] * stages
     events: list[TraceEvent] = []
 
     def cross_color_ok(E, F, want):
-        return all(matrix[x, y] == want for x in E for y in F)
+        return all(rows[x] >> y & 1 == want for x in E for y in F)
 
     for s in range(stages):
-        for x in range(s):
-            c = commitments.get(x, 0)
-            matrix[x, s] = matrix[s, x] = c
+        for x, c in commitments.items():  # every committed x lies below s
+            rows[x] |= c << s
+            rows[s] |= c << x
         acted = None
         for j in range(n):
             e, i = divmod(j, 2)
@@ -525,7 +524,7 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
                 partially[jj] = fully[jj] = False
                 restraints[jj] = set()
 
-    f = FiniteColoring(stages, matrix)
+    f = FiniteColoring(stages, tuple(rows))
     limits = tuple(commitments.get(x, 0) for x in range(stages))
     sc = StableColoring(f, limits)
     trace = ConstructionTrace(

@@ -5,7 +5,9 @@ canonical text form is "l:bits" where the bits list the pair colors in
 lexicographic order (0,1), (0,2), ..., (0,l-1), (1,2), ...
 
 A finite coloring is the same thing over a window [0, N); it plays the role
-of an ambient edge 2-coloring restricted to a finite scale.
+of an ambient edge 2-coloring restricted to a finite scale.  It is stored as
+one int bit mask per vertex: bit y of rows[x] is the color of (x, y), so a
+row is also the set of vertices joined to x by color 1.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import _kernels
 
@@ -120,59 +120,52 @@ def restrict(p: Pattern, vertices: Iterable[int]) -> Pattern:
 
 @dataclass(frozen=True)
 class FiniteColoring:
-    """A symmetric 2-coloring of pairs over the window [0, window)."""
+    """A symmetric 2-coloring of pairs over [0, window); bit y of rows[x] is f(x, y)."""
 
     window: int
-    matrix: np.ndarray = field(compare=False)
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.shape != (self.window, self.window):
-            raise PatternError(f"expected a {self.window}x{self.window} color matrix")
-        # one reduction and no temporary array: the bitwise OR of integer
-        # entries lies in {0, 1} exactly when every entry does
-        if m.dtype.kind not in "biu" or not 0 <= np.bitwise_or.reduce(m, axis=None) <= 1:
-            raise PatternError("pair colors must be 0 or 1")
-        m = m.astype(np.uint8, copy=False)
-        if not np.array_equal(m, m.T):
+        if not isinstance(self.rows, tuple) or len(self.rows) != self.window:
+            raise PatternError(f"expected a tuple of {self.window} rows")
+        if not all(isinstance(r, int) and 0 <= r < 1 << self.window and not r >> x & 1
+                   for x, r in enumerate(self.rows)):
+            raise PatternError(f"rows must be masks below 2^{self.window} with no diagonal bit")
+        # character y of text[x] is f(x, y); symmetric: each column of the
+        # joined text equals the row of the same index
+        text = [format(r, f"0{self.window}b")[::-1] for r in self.rows]
+        flat = "".join(text)
+        if any(flat[x::self.window] != t for x, t in enumerate(text)):
             raise PatternError("pair colors must be symmetric")
-        object.__setattr__(self, "matrix", m)
 
     def __call__(self, x: int, y: int) -> int:
         if x == y:
             raise PatternError(f"no color for the degenerate pair ({x},{x})")
         if not (0 <= x < self.window and 0 <= y < self.window):
             raise PatternError(f"pair ({x},{y}) outside window [0,{self.window})")
-        return int(self.matrix[x, y])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteColoring)
-                and self.window == other.window
-                and np.array_equal(self.matrix, other.matrix))
-
-    def __hash__(self):
-        return hash((self.window, self.matrix.tobytes()))
+        return self.rows[x] >> y & 1
 
 
 def coloring_from_function(window: int, colors) -> FiniteColoring:
-    # int64, not uint8, so that a bad color reaches FiniteColoring's check unchanged
-    m = np.zeros((window, window), dtype=np.int64)
+    """Calls colors(x, y) once per pair x < y, in lexicographic order."""
+    rows = [0] * window
     for x, y in itertools.combinations(range(window), 2):
-        m[x, y] = m[y, x] = colors(x, y)
-    return FiniteColoring(window, m)
+        c = colors(x, y)
+        if c not in (0, 1):
+            raise PatternError("pair colors must be 0 or 1")
+        rows[x] |= c << y
+        rows[y] |= c << x
+    return FiniteColoring(window, tuple(rows))
 
 
 def constant_coloring(window: int, color: int = 0) -> FiniteColoring:
-    m = np.full((window, window), color, dtype=np.uint8)
-    np.fill_diagonal(m, 0)
-    return FiniteColoring(window, m)
+    return coloring_from_function(window, lambda x, y: color)
 
 
 def flip(f: FiniteColoring) -> FiniteColoring:
     """Invert the color of every edge of the window."""
-    m = 1 - f.matrix
-    np.fill_diagonal(m, 0)
-    return FiniteColoring(f.window, m)
+    full = (1 << f.window) - 1
+    return FiniteColoring(f.window, tuple(r ^ full ^ 1 << x for x, r in enumerate(f.rows)))
 
 
 @dataclass(frozen=True)
@@ -264,7 +257,7 @@ def realizes(f: FiniteColoring, F: Iterable[int], p: Pattern) -> bool:
 
 def find_realizer(f: FiniteColoring, H: Iterable[int], p: Pattern) -> Optional[frozenset[int]]:
     """Lexicographically least subset of H realizing p, if any."""
-    hit = _kernels.lex_least_realizer(f.matrix, _check_window_subset(f, H),
+    hit = _kernels.lex_least_realizer(f.rows, _check_window_subset(f, H),
                                       _kernels.pattern_matrix(p))
     return None if hit is None else frozenset(hit)
 
@@ -315,5 +308,5 @@ def strongly_appears(sc: StableColoring, H: Iterable[int], p: Pattern) -> bool:
     if p.size < 2:
         raise PatternError("strong appearance needs a pattern of size >= 2")
     hs = _check_window_subset(sc.base, H)
-    return _kernels.lex_least_realizer(sc.base.matrix, hs, _kernels.pattern_matrix(p),
-                                       sc.limit) is not None
+    return _kernels.lex_least_realizer(sc.base.rows, hs, _kernels.pattern_matrix(p),
+                                       sum(c << x for x, c in enumerate(sc.limit))) is not None

@@ -31,15 +31,13 @@ MAX_BOUND = 14
 
 @dataclass(frozen=True)
 class BoundedPredicate:
-    """A decidable predicate phi(F, x) with an explicit witness bound."""
+    """A decidable predicate phi(F) on finite sets."""
 
     name: str
-    fn: Callable[[frozenset[int], int], bool]
-    bound: int = 0
+    fn: Callable[[frozenset[int]], bool]
 
     def satisfied_by(self, F: Iterable[int]) -> bool:
-        fs = frozenset(F)
-        return any(self.fn(fs, x) for x in range(self.bound + 1))
+        return self.fn(frozenset(F))
 
 
 def _check_bound(f: FiniteColoring, n: int) -> None:
@@ -163,19 +161,19 @@ def least_bound(evaluate: Callable[[int], bool], cap: int) -> Optional[int]:
 
 
 def pred_true() -> BoundedPredicate:
-    return BoundedPredicate("true", lambda F, x: True)
+    return BoundedPredicate("true", lambda F: True)
 
 
 def pred_false() -> BoundedPredicate:
-    return BoundedPredicate("false", lambda F, x: False)
+    return BoundedPredicate("false", lambda F: False)
 
 
 def pred_size_at_least(k: int) -> BoundedPredicate:
-    return BoundedPredicate(f"size>={k}", lambda F, x: len(F) >= k)
+    return BoundedPredicate(f"size>={k}", lambda F: len(F) >= k)
 
 
 def pred_contains(v: int) -> BoundedPredicate:
-    return BoundedPredicate(f"contains:{v}", lambda F, x: v in F)
+    return BoundedPredicate(f"contains:{v}", lambda F: v in F)
 
 
 def pred_homogeneous(f: FiniteColoring, color: int, min_size: int = 2) -> BoundedPredicate:
@@ -183,7 +181,7 @@ def pred_homogeneous(f: FiniteColoring, color: int, min_size: int = 2) -> Bounde
     if color not in (0, 1):
         raise PatternError(f"homogeneity color must be 0 or 1, got {color}")
 
-    def check(F: frozenset[int], x: int) -> bool:
+    def check(F: frozenset[int]) -> bool:
         if len(F) < min_size:
             return False
         return all(f(a, b) == color for a, b in itertools.combinations(sorted(F), 2))

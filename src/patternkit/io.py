@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .core import FiniteColoring, Pattern, PatternError, StableColoring, parse_pattern
 from .constructions import (
     ApproxOracle,
@@ -29,10 +27,9 @@ from .stabilize import BinaryTree
 
 
 def format_coloring(f: FiniteColoring) -> str:
-    lines = [str(f.window)]
-    for x in range(f.window - 1):
-        lines.append("".join(str(int(f.matrix[x, y])) for y in range(x + 1, f.window)))
-    return "\n".join(lines) + "\n"
+    # character y of the reversed binary form of rows[x] is f(x, y)
+    rows = [format(r, f"0{f.window}b")[::-1][x + 1:] for x, r in enumerate(f.rows[:-1])]
+    return "\n".join([str(f.window), *rows]) + "\n"
 
 
 def format_stable_coloring(sc: StableColoring) -> str:
@@ -45,19 +42,23 @@ def _parse_coloring_lines(lines: list[str]) -> tuple[FiniteColoring, list[str]]:
     try:
         window = int(lines[0])
     except ValueError:
-        raise PatternError(f"bad window size {lines[0]!r}") from None
+        window = -1
+    if window < 0:
+        raise PatternError(f"bad window size {lines[0]!r}")
     need = max(window - 1, 0)
     rows = lines[1:1 + need]
     if len(rows) < need:
         raise PatternError(f"expected {need} rows for window {window}")
-    m = np.zeros((window, window), dtype=np.uint8)
     for x, row in enumerate(rows):
         if len(row) != window - 1 - x or row.strip("01"):
             raise PatternError(f"bad row {x}: {row!r}")
-        for k, b in enumerate(row):
-            y = x + 1 + k
-            m[x, y] = m[y, x] = int(b)
-    return FiniteColoring(window, m), lines[1 + need:]
+    # row x padded to the window (the last vertex has no pair above it);
+    # the columns of these strings give the pairs below the diagonal
+    upper = ["0" * (x + 1) + row for x, row in enumerate(rows)] + ["0" * window]
+    lower = map("".join, zip(*upper))
+    f = FiniteColoring(window, tuple(int(u[::-1], 2) | int(v[::-1], 2)
+                                     for u, v in zip(upper, lower)))
+    return f, lines[1 + need:]
 
 
 def parse_coloring(text: str) -> FiniteColoring:
@@ -108,6 +109,13 @@ def _parse_elems(text: str) -> frozenset[int]:
         raise PatternError(f"bad element list {text!r}") from None
 
 
+def _integers(line: str, fields: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise PatternError(f"non-integer field in oracle line {line!r}") from None
+
+
 def format_approx_oracle(o: ApproxOracle) -> str:
     lines = [f"{e} {s0} {_format_elems(elems)}"
              for e, s0, elems in sorted(o.entries)]
@@ -120,7 +128,7 @@ def parse_approx_oracle(text: str) -> ApproxOracle:
         parts = line.split()
         if len(parts) != 3:
             raise PatternError(f"bad enumeration entry {line!r}")
-        entries.append((int(parts[0]), int(parts[1]), _parse_elems(parts[2])))
+        entries.append((*_integers(line, parts[:2]), _parse_elems(parts[2])))
     return ApproxOracle(tuple(entries))
 
 
@@ -159,7 +167,7 @@ def parse_measure_oracle(text: str) -> tuple[list[PrefixFunctional], list[Patter
             if len(parts) != 3:
                 raise PatternError(f"bad prefix entry {line!r}")
             tau = "" if parts[0] == "-" else parts[0]
-            entries.append((tau, int(parts[1]), _parse_elems(parts[2])))
+            entries.append((tau, *_integers(line, parts[1:2]), _parse_elems(parts[2])))
     if started:
         fns.append(PrefixFunctional(tuple(entries)))
     return fns, patterns
@@ -189,10 +197,9 @@ def parse_biarray_oracle(text: str) -> list[BiArrayFunctional]:
                 primary, secondary = [], []
             started = True
         elif parts[0] == "E" and len(parts) == 4:
-            primary.append((int(parts[1]), int(parts[2]), _parse_elems(parts[3])))
+            primary.append((*_integers(line, parts[1:3]), _parse_elems(parts[3])))
         elif parts[0] == "F" and len(parts) == 5:
-            secondary.append((int(parts[1]), int(parts[2]), int(parts[3]),
-                              _parse_elems(parts[4])))
+            secondary.append((*_integers(line, parts[1:4]), _parse_elems(parts[4])))
         else:
             raise PatternError(f"bad bi-array entry {line!r}")
         if parts[0] in ("E", "F") and not started:

@@ -13,13 +13,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .core import (
     FiniteColoring,
     PartialColoring,
     Pattern,
     avoids,
+    coloring_from_function,
     dual,
     flip,
 )
@@ -67,11 +66,18 @@ def _random_pattern(rng: random.Random, max_size: int, min_size: int = 2) -> Pat
 
 
 def _random_coloring(rng: random.Random, window: int) -> FiniteColoring:
-    m = np.zeros((window, window), dtype=np.uint8)
-    for x in range(window):
-        for y in range(x + 1, window):
-            m[x, y] = m[y, x] = _coin(rng)
-    return FiniteColoring(window, m)
+    return coloring_from_function(window, lambda x, y: _coin(rng))
+
+
+def _recolored(f: FiniteColoring, E, F, color) -> FiniteColoring:
+    """f with each pair (x, y), x in E below y in F, recolored color(x)."""
+    rows = list(f.rows)
+    for x in E:
+        for y in F:
+            if rows[x] >> y & 1 != color(x):
+                rows[x] ^= 1 << y
+                rows[y] ^= 1 << x
+    return FiniteColoring(f.window, tuple(rows))
 
 
 def suite_join_associative(rng: random.Random, count: int = 10_000) -> SuiteResult:
@@ -152,11 +158,7 @@ def _stabilized_instance(rng: random.Random, max_window: int = 10,
     E = sorted(x for x in range(split) if rng.random() < 0.7)
     F = sorted(y for y in range(split, window) if rng.random() < 0.7)
     g = PartialColoring({x: _coin(rng) for x in range(window)})
-    m = f.matrix.copy()
-    for x in E:
-        for y in F:
-            m[x, y] = m[y, x] = g(x)
-    return FiniteColoring(window, m), g, E, F, _random_pattern(rng, max_pattern)
+    return _recolored(f, E, F, g), g, E, F, _random_pattern(rng, max_pattern)
 
 
 def suite_stabilized_avoidance_equivalence(rng: random.Random,
@@ -229,11 +231,7 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
         gE = _coin(rng)
         g = PartialColoring({**{x: gE for x in E}, **{y: 1 - i for y in F}})
         cross = _coin(rng)
-        m = f0.matrix.copy()
-        for x in E:
-            for y in F:
-                m[x, y] = m[y, x] = cross
-        f = FiniteColoring(window, m)
+        f = _recolored(f0, E, F, lambda x: cross)
         union = sorted(set(E) | set(F))
         if not avoids(f, union, p):
             continue

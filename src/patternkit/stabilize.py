@@ -51,7 +51,8 @@ def fg_avoids(f: FiniteColoring, g: PartialColoring, X: Iterable[int],
     if not g.defined_on(xs):
         raise PatternError("witness must be defined on all of X")
     return avoids(f, xs, p) and _kernels.lex_least_realizer(
-        f.matrix, xs, _kernels.pattern_matrix(p), g.assignments) is None
+        f.rows, xs, _kernels.pattern_matrix(p),
+        sum(g.assignments[x] << x for x in xs)) is None
 
 
 def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],
@@ -180,7 +181,7 @@ def max_avoiding_subset(f: FiniteColoring, W: Iterable[int], p: Pattern) -> froz
     ws = _check_window_subset(f, W)
     if len(ws) > 20:
         raise PatternError(f"brute-force oracle capped at 20 vertices, got {len(ws)}")
-    return frozenset(_kernels.max_avoiding_elems(f.matrix, ws, _kernels.pattern_matrix(p)))
+    return frozenset(_kernels.max_avoiding_elems(f.rows, ws, _kernels.pattern_matrix(p)))
 
 
 # ---------------------------------------------------------------------------

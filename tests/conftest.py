@@ -1,7 +1,6 @@
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from patternkit.core import FiniteColoring, coloring_from_function
@@ -15,11 +14,8 @@ def fixtures() -> Path:
 
 
 def random_coloring(rng: random.Random, window: int) -> FiniteColoring:
-    m = np.zeros((window, window), dtype=np.uint8)
-    for x in range(window):
-        for y in range(x + 1, window):
-            m[x, y] = m[y, x] = rng.randint(0, 1)
-    return FiniteColoring(window, m)
+    # one draw per pair x < y, in lexicographic order
+    return coloring_from_function(window, lambda x, y: rng.randint(0, 1))
 
 
 @pytest.fixture

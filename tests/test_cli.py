@@ -188,7 +188,7 @@ class TestTree2Col:
         path.write_text(format_tree(full_binary_tree(4)))
         code, out, _ = run_cli(capsys, "tree2col", str(path), "--window", "5")
         f = parse_coloring(out)
-        assert f.window == 5 and not f.matrix.any()
+        assert f.window == 5 and not any(f.rows)
 
 
 class TestVerifyLemmas:
@@ -212,6 +212,7 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_missing_input_files(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.txt")
@@ -248,6 +249,20 @@ class TestInputErrors:
         self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
                                "2:0", "homogeneous:0", "--stem=-1",
                                "--reservoir", "1,2", "--bound", "2")
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("dnc", "0 x 1,2\n", "0 x 1,2"),
+        ("measure", "functional 3:010\n0 x 1\n", "0 x 1"),
+        ("stable2dim", "functional\nE 0 x 1\n", "E 0 x 1"),
+    ], ids=["dnc", "measure", "stable2dim"])
+    def test_non_integer_oracle_fields(self, capsys, tmp_path, kind, text, line):
+        path = tmp_path / "oracle.txt"
+        path.write_text(text)
+        err = self.assert_user_error(capsys, "simulate", kind, str(path), "--stages", "5")
+        assert repr(line) in err
+
+    def test_negative_count(self, capsys):
+        self.assert_user_error(capsys, "verify-lemmas", "--count", "-3")
 
 
 class TestDeterminism:

@@ -251,11 +251,7 @@ class TestStableColorings:
         # a vertex above the witness whose colors match the limits turns
         # strong appearance into plain appearance
         values = {(0, 1): 0, (0, 2): 1, (1, 2): 0}
-        f = FiniteColoring(3, constant_coloring(3).matrix.copy())
-        m = f.matrix.copy()
-        for (x, y), c in values.items():
-            m[x, y] = m[y, x] = c
-        f = FiniteColoring(3, m)
+        f = coloring_from_function(3, lambda x, y: values[(x, y)])
         sc = StableColoring(f, (1, 0, 0))
         p = parse_pattern("3:010")
         assert strongly_appears(sc, {0, 1, 2}, p)
@@ -273,18 +269,15 @@ class TestStableColorings:
 
 class TestColorings:
     def test_matrix_must_be_symmetric(self):
-        import numpy as np
-        m = np.zeros((3, 3), dtype=np.uint8)
-        m[0, 1] = 1
+        # f(0, 1) = 1 in row 0 but 0 in row 1
         with pytest.raises(PatternError):
-            FiniteColoring(3, m)
+            FiniteColoring(3, (0b010, 0, 0))
 
     def test_colors_must_be_0_or_1(self):
-        import numpy as np
         with pytest.raises(PatternError):
             coloring_from_function(4, lambda x, y: 2)
         with pytest.raises(PatternError):
-            FiniteColoring(2, np.array([[0, 2], [2, 0]], dtype=np.uint8))
+            FiniteColoring(2, (0b110, 0b001))  # a bit past the window
         with pytest.raises(PatternError):
             constant_coloring(3, 2)
 

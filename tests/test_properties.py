@@ -1,6 +1,5 @@
 """Property-based checks of the algebraic laws, driven by hypothesis."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 # kernel warm-up on first call can blow hypothesis' per-example deadline
@@ -8,9 +7,9 @@ settings.register_profile("patternkit", deadline=None)
 settings.load_profile("patternkit")
 
 from patternkit.core import (
-    FiniteColoring,
     Pattern,
     avoids,
+    coloring_from_function,
     dual,
     find_realizer,
     flip,
@@ -39,13 +38,8 @@ def patterns(draw, min_size=1, max_size=6):
 def colorings(draw, min_window=2, max_window=9):
     window = draw(st.integers(min_window, max_window))
     bits = draw(st.tuples(*[st.integers(0, 1)] * (window * (window - 1) // 2)))
-    m = np.zeros((window, window), dtype=np.uint8)
-    k = 0
-    for x in range(window):
-        for y in range(x + 1, window):
-            m[x, y] = m[y, x] = bits[k]
-            k += 1
-    return FiniteColoring(window, m)
+    it = iter(bits)
+    return coloring_from_function(window, lambda x, y: next(it))
 
 
 @given(patterns())

@@ -97,12 +97,9 @@ class TestWitnessedAvoidance:
             if not F:
                 continue
             g = PartialColoring({x: rng.randint(0, 1) for x in range(split)})
-            m = f0.matrix.copy()
-            for x in E:
-                for y in F:
-                    m[x, y] = m[y, x] = g(x)
-            from patternkit.core import FiniteColoring
-            f = FiniteColoring(window, m)
+            Es, Fs = set(E), set(F)
+            f = coloring_from_function(
+                window, lambda x, y: g(x) if x in Es and y in Fs else f0(x, y))
             size = rng.randint(2, 4)
             from patternkit.core import Pattern
             p = Pattern(size, tuple(rng.randint(0, 1)
