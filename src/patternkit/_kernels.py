@@ -1,7 +1,7 @@
 """The two search kernels: the least realizer and the maximum avoiding subset.
 
-A coloring enters as its rows, int bit masks with bit y of `rows[x]` the
-colour of (x, y); a pattern as its colour matrix from `pattern_matrix`;
+A coloring and a pattern both enter as their rows, int bit masks with bit y
+of `rows[x]` the colour of (x, y) (`Pattern.rows` comes from `_pattern_matrix`);
 element lists as plain increasing lists.  The realizer search is the only one
 in the package: strong appearance, witnessed avoidance and the admissibility
 step of the avoiding-subset search all call it with `last`, the int mask of
@@ -16,26 +16,27 @@ from typing import Optional
 
 
 @lru_cache(maxsize=4096)
-def _pattern_matrix(size: int, bits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    pm = [[0] * size for _ in range(size)]
-    for (i, j), b in zip(itertools.combinations(range(size), 2), bits):
-        pm[i][j] = pm[j][i] = b
-    return tuple(map(tuple, pm))
+def _pattern_matrix(size: int, code: int) -> tuple[int, ...]:
+    """Row masks of the pattern (size, code); the first pair is the top bit."""
+    rows = [0] * size
+    k = size * (size - 1) // 2
+    for x, y in itertools.combinations(range(size), 2):
+        k -= 1
+        if code >> k & 1:
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+    return tuple(rows)
 
 
-def pattern_matrix(p) -> tuple[tuple[int, ...], ...]:
-    """Colour matrix of a pattern as a tuple of rows, cached."""
-    return _pattern_matrix(p.size, p.bits)
-
-
-def lex_least_realizer(rows, elems, pm, last=None) -> Optional[list[int]]:
-    """Lexicographically least increasing tuple of elems realizing pm, or None.
+def lex_least_realizer(rows, elems, prows, last=None) -> Optional[list[int]]:
+    """Lexicographically least increasing tuple of elems realizing the pattern
+    with rows prows, or None.
 
     With `last`, the mask of the elements whose colour toward a virtual top
-    vertex is 1, the tuple realizes pm minus its last vertex and each x_i must
-    also have bit x_i of last equal to pm[i][-1].
+    vertex is 1, the tuple realizes the pattern minus its last vertex l and
+    each x_i must also have bit x_i of last equal to bit l of prows[i].
     """
-    l = len(pm) - (last is not None)
+    l = len(prows) - (last is not None)
     n = len(elems)
     out: list[int] = []
 
@@ -43,14 +44,14 @@ def lex_least_realizer(rows, elems, pm, last=None) -> Optional[list[int]]:
         d = len(out)
         if d == l:
             return True
-        want = pm[d]
+        want = prows[d]
         for k in range(start, n - l + d + 1):
             e = elems[k]
-            if last is not None and last >> e & 1 != want[-1]:
+            if last is not None and last >> e & 1 != want >> l & 1:
                 continue
             row = rows[e]
             for i, x in enumerate(out):
-                if row >> x & 1 != want[i]:
+                if row >> x & 1 != want >> i & 1:
                     break
             else:
                 out.append(e)
@@ -62,10 +63,11 @@ def lex_least_realizer(rows, elems, pm, last=None) -> Optional[list[int]]:
     return out if extend(0) else None
 
 
-def max_avoiding_elems(rows, elems, pm) -> list[int]:
-    """Maximum-cardinality subset of elems avoiding the pattern; the first one
-    an include-first scan of elems finds, which is the lex-least."""
-    if len(pm) == 1:
+def max_avoiding_elems(rows, elems, prows) -> list[int]:
+    """Maximum-cardinality subset of elems avoiding the pattern with rows
+    prows; the first one an include-first scan of elems finds, which is the
+    lex-least."""
+    if len(prows) == 1:
         return []  # every nonempty set realizes the singleton pattern
     n = len(elems)
     best: list[int] = []
@@ -80,7 +82,7 @@ def max_avoiding_elems(rows, elems, pm) -> list[int]:
             return
         e = elems[idx]
         # chosen avoids p, so chosen + [e] does unless e tops a realizer
-        if lex_least_realizer(rows, chosen, pm, rows[e]) is None:
+        if lex_least_realizer(rows, chosen, prows, rows[e]) is None:
             chosen.append(e)
             walk(idx + 1)
             chosen.pop()

@@ -5,7 +5,8 @@ pattern is identified with the first vertex of the right one, and every
 cross pair inherits the left pattern's last-column color.  Irreducibility,
 divergence and the merging predicates all quantify over contiguous splits
 of the vertex line, which is enough because a join seam is always
-contiguous.
+contiguous.  Everything here reads patterns through their row masks
+(`Pattern.rows`), so each split costs one mask comparison per vertex.
 """
 
 from __future__ import annotations
@@ -13,21 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Pattern, PatternError, pattern_from_colors, restrict
+from .core import Pattern, PatternError, _coded, _gather, restrict
 
 
 def join(p: Pattern, q: Pattern) -> Pattern:
     """Pattern of size |p|+|q|-1 gluing q's first vertex onto p's last."""
-    lp = p.size
-
-    def color(x: int, y: int) -> int:
-        if y < lp:
-            return p(x, y)
-        if x >= lp - 1:
-            return q(x - lp + 1, y - lp + 1)
-        return p(x, lp - 1)
-
-    return pattern_from_colors(lp + q.size - 1, color)
+    seam, size = p.size - 1, p.size + q.size - 1
+    cross = (1 << size) - (2 << seam)  # the vertices of q after the seam
+    last = p.rows[seam]
+    rows = [r | cross if r >> seam & 1 else r for r in p.rows[:seam]]
+    rows += [r << seam | last for r in q.rows]
+    return _coded(size, _gather(rows, range(size)))
 
 
 def decompositions(p: Pattern) -> list[tuple[Pattern, Pattern]]:
@@ -50,15 +47,11 @@ def is_irreducible(p: Pattern, method: str = "definitional") -> bool:
         return not decompositions(p)
     if method == "criterion":
         # every split F = [0,k), G = [k,l) with F nonempty and |G| >= 2 must
-        # contain a cross pair of differing colors from a single F-vertex
-        l = p.size
-        for k in range(1, l - 1):
-            if not any(
-                p(x, y) != p(x, z)
-                for x in range(k)
-                for y in range(k, l)
-                for z in range(y + 1, l)
-            ):
+        # have an F-vertex whose colors toward G differ
+        rows = p.rows
+        for k in range(1, p.size - 1):
+            G = (1 << p.size) - (1 << k)
+            if all(r & G in (0, G) for r in rows[:k]):
                 return False
         return True
     raise PatternError(f"unknown irreducibility method {method!r}")
@@ -66,29 +59,21 @@ def is_irreducible(p: Pattern, method: str = "definitional") -> bool:
 
 def is_divergent(p: Pattern) -> bool:
     """Last column non-constant; sizes <= 2 are convergent."""
-    l = p.size
-    if l <= 2:
-        return False
-    last = [p(x, l - 1) for x in range(l - 1)]
-    return any(c != last[0] for c in last)
+    return p.size > 2 and p.rows[-1] not in (0, (1 << p.size - 1) - 1)
 
 
 def is_i_merging(p: Pattern, i: int) -> bool:
     """Split condition over contiguous nontrivial splits of [0, l-1)."""
     if i not in (0, 1):
         raise PatternError("merging color must be 0 or 1")
-    l = p.size
-    for k in range(1, l - 2 + 1):
-        F = range(k)
-        G = range(k, l - 1)
-        if any(p(x, l - 1) == 1 - i for x in F):
-            continue
-        if any(p(x, l - 1) == i for x in G):
-            continue
-        colors = {p(x, y) for x in F for y in G}
-        if len(colors) > 1:
-            continue
-        return False
+    # a split F = [0,k), G = [k,l-1) refutes i-merging when the last column
+    # is i on F and 1-i on G, and every F-G pair has one color
+    rows = p.rows
+    for k in range(1, p.size - 1):
+        F = (1 << k) - 1
+        G = (1 << p.size - 1) - 1 - F
+        if rows[-1] == (F if i else G) and {r & G for r in rows[:k]} in ({0}, {G}):
+            return False
     return True
 
 

@@ -20,11 +20,10 @@ takes a mode; the verdicts, reports and census take none.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import Pattern, PatternError, format_pattern, pattern_from_colors, vertex_maps
+from .core import Pattern, PatternError, _coded, _gather, format_pattern, vertex_maps
 from .algebra import ClassificationFlags, classify
 
 MAX_PAIR_BITS = 28  # enumeration guard: C(l,2) <= 28, i.e. l <= 8
@@ -42,30 +41,24 @@ def _check_guard(size: int) -> None:
 def enumerate_patterns(size: int) -> list[Pattern]:
     """All 2^C(size,2) patterns in ascending bitstring order."""
     _check_guard(size)
-    npairs = size * (size - 1) // 2
-    return [
-        Pattern(size, bits)
-        for bits in itertools.product((0, 1), repeat=npairs)
-    ]
+    return [_coded(size, code) for code in range(1 << size * (size - 1) // 2)]
 
 
 @lru_cache(maxsize=4096)
 def subpatterns(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
     """Deduplicated set of patterns embedding into p under the given mode."""
-    found: set[Pattern] = set()
-    for k in range(1, p.size + 1):
-        for g in vertex_maps(k, p.size, mode):
-            found.add(pattern_from_colors(k, lambda a, b: p(g[a], g[b])))
-    return frozenset(found)
+    rows = p.rows
+    return frozenset(_coded(k, _gather(rows, g))
+                     for k in range(1, p.size + 1) for g in vertex_maps(k, p.size, mode))
 
 
 def _least_witnesses(p: Pattern) -> dict[str, Pattern]:
-    """The least order-preserving sub-pattern of p, in (size, bits) order,
+    """The least order-preserving sub-pattern of p, in (size, code) order,
     for each witness kind it has: divergent and irreducible ("omega_hyp"),
     and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
     "one_2dim_1merging", "omega_2dim")."""
     found: dict[str, Pattern] = {}
-    for q in sorted(subpatterns(p, "monotone"), key=lambda q: (q.size, q.bits)):
+    for q in sorted(subpatterns(p, "monotone"), key=lambda q: (q.size, q.code)):
         fl = classify(q)
         if not (fl.divergent and fl.irreducible):
             continue

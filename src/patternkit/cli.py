@@ -168,7 +168,7 @@ def cmd_join(args) -> int:
 
 def cmd_subpatterns(args) -> int:
     p = parse_pattern(args.pattern)
-    subs = sorted(subpatterns(p, args.mode), key=lambda q: (q.size, q.bits))
+    subs = sorted(subpatterns(p, args.mode), key=lambda q: (q.size, q.code))
     for q in subs:
         print(format_pattern(q))
     return 0

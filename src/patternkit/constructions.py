@@ -22,6 +22,7 @@ from .core import (
     Pattern,
     PatternError,
     StableColoring,
+    _coded,
     minus,
     realizes,
     restrict,
@@ -32,27 +33,17 @@ from .core import (
 
 
 def pattern_index(p: Pattern) -> int:
-    """Rank of p among all patterns of size >= 2, ordered by (size, bits)."""
+    """Rank of p among all patterns of size >= 2, ordered by (size, code)."""
     if p.size < 2:
         raise PatternError("only patterns of size >= 2 are indexed")
-    idx = 0
-    for l in range(2, p.size):
-        idx += 2 ** (l * (l - 1) // 2)
-    return idx + int("".join(str(b) for b in p.bits), 2)
+    return sum(2 ** (l * (l - 1) // 2) for l in range(2, p.size)) + p.code
 
 
 def index_pattern(idx: int) -> Pattern:
     if idx < 0:
         raise PatternError("pattern index must be nonnegative")
-    l = 2
-    while True:
-        block = 2 ** (l * (l - 1) // 2)
-        if idx < block:
-            npairs = l * (l - 1) // 2
-            bits = tuple(int(b) for b in format(idx, f"0{npairs}b"))
-            return Pattern(l, bits)
-        idx -= block
-        l += 1
+    l = _index_size(idx)
+    return _coded(l, idx - sum(2 ** (k * (k - 1) // 2) for k in range(2, l)))
 
 
 def cantor_pair(a: int, b: int) -> int:
@@ -284,7 +275,7 @@ def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, rows: Sequence[in
     pm_ = minus(p)
     if count * pm_.size > len(elems):
         return None
-    pmat = _kernels.pattern_matrix(pm_)
+    prows = pm_.rows
     ages = _ages if _ages is not None else {x: age(o, e, x, s) for x in elems}
     blocks: list[list[int]] = []
     remaining = list(elems)
@@ -292,7 +283,7 @@ def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, rows: Sequence[in
         hit = None
         for t in sorted({ages[x] for x in remaining}, reverse=True):
             sub = [x for x in remaining if ages[x] >= t]
-            hit = _kernels.lex_least_realizer(rows, sub, pmat)
+            hit = _kernels.lex_least_realizer(rows, sub, prows)
             if hit is not None:
                 break
         if hit is None:

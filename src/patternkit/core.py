@@ -2,12 +2,16 @@
 
 A pattern is a total 2-coloring of the unordered pairs over [0, l).  Its
 canonical text form is "l:bits" where the bits list the pair colors in
-lexicographic order (0,1), (0,2), ..., (0,l-1), (1,2), ...
+lexicographic order (0,1), (0,2), ..., (0,l-1), (1,2), ...  Read as one
+binary number, first pair most significant, those bits are the pattern's
+code, so (size, code) orders patterns as (size, bits) does.
 
 A finite coloring is the same thing over a window [0, N); it plays the role
 of an ambient edge 2-coloring restricted to a finite scale.  It is stored as
 one int bit mask per vertex: bit y of rows[x] is the color of (x, y), so a
-row is also the set of vertices joined to x by color 1.
+row is also the set of vertices joined to x by color 1.  A pattern's `rows`
+are masks in the same convention, derived from its code and cached, so the
+algebra and the search kernels read patterns and colorings alike.
 """
 
 from __future__ import annotations
@@ -23,37 +27,43 @@ class PatternError(ValueError):
     """Malformed pattern text or size/arity violation."""
 
 
-def _pair_index(i: int, j: int, l: int) -> int:
-    # lexicographic rank of (i, j), i < j, among all pairs over [0, l)
-    return i * l - i * (i + 1) // 2 + (j - i - 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pattern:
-    """A 2-coloring of unordered pairs over [0, size)."""
+    """A 2-coloring of unordered pairs over [0, size), stored as its code."""
 
     size: int
-    bits: tuple[int, ...]
+    code: int
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, bits: Sequence[int]):
+        if size < 1:
             raise PatternError("pattern size must be >= 1")
-        want = self.size * (self.size - 1) // 2
-        if len(self.bits) != want:
+        want = size * (size - 1) // 2
+        if len(bits) != want:
             raise PatternError(
-                f"pattern of size {self.size} needs {want} pair colors, got {len(self.bits)}"
+                f"pattern of size {size} needs {want} pair colors, got {len(bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise PatternError("pair colors must be 0 or 1")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "code", sum(b << k for k, b in enumerate(reversed(bits))))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The pair colors in lexicographic order."""
+        n = self.size * (self.size - 1) // 2
+        return tuple(self.code >> k & 1 for k in range(n - 1, -1, -1))
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row masks as in FiniteColoring: bit y of rows[x] is the color of (x, y)."""
+        return _kernels._pattern_matrix(self.size, self.code)
 
     def __call__(self, x: int, y: int) -> int:
         if x == y:
             raise PatternError(f"no color for the degenerate pair ({x},{x})")
-        if x > y:
-            x, y = y, x
-        if not (0 <= x < y < self.size):
+        if not (0 <= x < self.size and 0 <= y < self.size):
             raise PatternError(f"pair ({x},{y}) outside pattern of size {self.size}")
-        return self.bits[_pair_index(x, y, self.size)]
+        return self.rows[x] >> y & 1
 
     def __len__(self) -> int:
         return self.size
@@ -63,6 +73,22 @@ class Pattern:
 
     def __repr__(self) -> str:
         return f"Pattern({format_pattern(self)!r})"
+
+
+def _coded(size: int, code: int) -> Pattern:
+    """The pattern with a code known to fit its size; skips the bits check."""
+    p = object.__new__(Pattern)
+    object.__setattr__(p, "size", size)
+    object.__setattr__(p, "code", code)
+    return p
+
+
+def _gather(rows: Sequence[int], vs: Sequence[int]) -> int:
+    """Code of the pattern the row masks induce on vs, in the order listed."""
+    code = 0
+    for x, y in itertools.combinations(vs, 2):
+        code = code << 1 | rows[x] >> y & 1
+    return code
 
 
 def parse_pattern(text: str) -> Pattern:
@@ -81,7 +107,7 @@ def parse_pattern(text: str) -> Pattern:
         raise PatternError(f"expected {want} bits for size {size}, got {len(bits)}")
     if bits.strip("01"):
         raise PatternError(f"pair colors must be 0/1 bits, got {bits!r}")
-    return Pattern(size, tuple(int(b) for b in bits))
+    return _coded(size, int("0" + bits, 2))
 
 
 def format_pattern(p: Pattern) -> str:
@@ -96,7 +122,7 @@ def pattern_from_colors(size: int, colors) -> Pattern:
 
 def dual(p: Pattern) -> Pattern:
     """Flip the color of every pair."""
-    return Pattern(p.size, tuple(1 - b for b in p.bits))
+    return _coded(p.size, p.code ^ ((1 << p.size * (p.size - 1) // 2) - 1))
 
 
 def minus(p: Pattern) -> Pattern:
@@ -115,7 +141,7 @@ def restrict(p: Pattern, vertices: Iterable[int]) -> Pattern:
         raise PatternError(f"vertex subset must be strictly increasing, got {vs}")
     if vs[0] < 0 or vs[-1] >= p.size:
         raise PatternError(f"vertex subset {vs} out of range for size {p.size}")
-    return pattern_from_colors(len(vs), lambda a, b: p(vs[a], vs[b]))
+    return _coded(len(vs), _gather(p.rows, vs))
 
 
 @dataclass(frozen=True)
@@ -126,6 +152,8 @@ class FiniteColoring:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if self.window < 0:
+            raise PatternError("window must be >= 0")
         if not isinstance(self.rows, tuple) or len(self.rows) != self.window:
             raise PatternError(f"expected a tuple of {self.window} rows")
         if not all(isinstance(r, int) and 0 <= r < 1 << self.window and not r >> x & 1
@@ -148,6 +176,11 @@ class FiniteColoring:
 
 def coloring_from_function(window: int, colors) -> FiniteColoring:
     """Calls colors(x, y) once per pair x < y, in lexicographic order."""
+    return FiniteColoring(window, tuple(_rows_from_function(window, colors)))
+
+
+def _rows_from_function(window: int, colors) -> list[int]:
+    """The rows of coloring_from_function(window, colors), not yet validated."""
     rows = [0] * window
     for x, y in itertools.combinations(range(window), 2):
         c = colors(x, y)
@@ -155,7 +188,7 @@ def coloring_from_function(window: int, colors) -> FiniteColoring:
             raise PatternError("pair colors must be 0 or 1")
         rows[x] |= c << y
         rows[y] |= c << x
-    return FiniteColoring(window, tuple(rows))
+    return rows
 
 
 def constant_coloring(window: int, color: int = 0) -> FiniteColoring:
@@ -252,13 +285,12 @@ def realizes(f: FiniteColoring, F: Iterable[int], p: Pattern) -> bool:
     xs = _check_window_subset(f, F)
     if len(xs) != p.size:
         raise PatternError(f"realization needs exactly {p.size} vertices, got {len(xs)}")
-    return all(f(xs[i], xs[j]) == p(i, j) for i, j in itertools.combinations(range(p.size), 2))
+    return _gather(f.rows, xs) == p.code
 
 
 def find_realizer(f: FiniteColoring, H: Iterable[int], p: Pattern) -> Optional[frozenset[int]]:
     """Lexicographically least subset of H realizing p, if any."""
-    hit = _kernels.lex_least_realizer(f.rows, _check_window_subset(f, H),
-                                      _kernels.pattern_matrix(p))
+    hit = _kernels.lex_least_realizer(f.rows, _check_window_subset(f, H), p.rows)
     return None if hit is None else frozenset(hit)
 
 
@@ -278,7 +310,7 @@ def vertex_maps(k: int, n: int, mode: str) -> Iterable[tuple[int, ...]]:
 
 
 def _embeds(q: Pattern, p: Pattern, g: Sequence[int]) -> bool:
-    return all(q(x, y) == p(g[x], g[y]) for x, y in itertools.combinations(range(q.size), 2))
+    return _gather(p.rows, g) == q.code
 
 
 def embeddings(q: Pattern, p: Pattern, mode: str = "injective") -> list[Embedding]:
@@ -300,7 +332,7 @@ def strongly_realizes(sc: StableColoring, F: Iterable[int], p: Pattern) -> bool:
         raise PatternError(f"strong realization needs {p.size - 1} vertices, got {len(xs)}")
     if not realizes(sc.base, xs, minus(p)):
         return False
-    return all(sc.limit[x] == p(i, p.size - 1) for i, x in enumerate(xs))
+    return sum(sc.limit[x] << i for i, x in enumerate(xs)) == p.rows[-1]
 
 
 def strongly_appears(sc: StableColoring, H: Iterable[int], p: Pattern) -> bool:
@@ -308,5 +340,5 @@ def strongly_appears(sc: StableColoring, H: Iterable[int], p: Pattern) -> bool:
     if p.size < 2:
         raise PatternError("strong appearance needs a pattern of size >= 2")
     hs = _check_window_subset(sc.base, H)
-    return _kernels.lex_least_realizer(sc.base.rows, hs, _kernels.pattern_matrix(p),
+    return _kernels.lex_least_realizer(sc.base.rows, hs, p.rows,
                                        sum(c << x for x, c in enumerate(sc.limit))) is not None

@@ -148,6 +148,8 @@ def eval_question_disjunctive(f: FiniteColoring, sigma0: Iterable[int],
 
 def least_bound(evaluate: Callable[[int], bool], cap: int) -> Optional[int]:
     """Least n <= cap at which the evaluator returns true, if any."""
+    if cap < 0:
+        raise PatternError("cap must be nonnegative")
     if cap > MAX_BOUND:
         raise PatternError(f"cap {cap} exceeds the hard cap {MAX_BOUND}")
     for n in range(cap + 1):

@@ -17,6 +17,7 @@ from .core import (
     FiniteColoring,
     PartialColoring,
     Pattern,
+    _rows_from_function,
     avoids,
     coloring_from_function,
     dual,
@@ -65,19 +66,14 @@ def _random_pattern(rng: random.Random, max_size: int, min_size: int = 2) -> Pat
     return Pattern(size, tuple(_coin(rng) for _ in range(npairs)))
 
 
-def _random_coloring(rng: random.Random, window: int) -> FiniteColoring:
-    return coloring_from_function(window, lambda x, y: _coin(rng))
-
-
-def _recolored(f: FiniteColoring, E, F, color) -> FiniteColoring:
-    """f with each pair (x, y), x in E below y in F, recolored color(x)."""
-    rows = list(f.rows)
+def _recolored(rows: list[int], E, F, color) -> FiniteColoring:
+    """rows, with each pair (x in E, y in F) recolored color(x) in place, as a coloring."""
     for x in E:
         for y in F:
             if rows[x] >> y & 1 != color(x):
                 rows[x] ^= 1 << y
                 rows[y] ^= 1 << x
-    return FiniteColoring(f.window, tuple(rows))
+    return FiniteColoring(len(rows), tuple(rows))
 
 
 def suite_join_associative(rng: random.Random, count: int = 10_000) -> SuiteResult:
@@ -141,7 +137,7 @@ def suite_duality(rng: random.Random, count: int = 2_000) -> SuiteResult:
     bad = []
     for _ in range(count):
         window = rng.randint(3, 9)
-        f = _random_coloring(rng, window)
+        f = coloring_from_function(window, lambda x, y: _coin(rng))
         p = _random_pattern(rng, 4)
         H = [x for x in range(window) if rng.random() < 0.7]
         if avoids(f, H, p) != avoids(flip(f), H, dual(p)):
@@ -153,12 +149,12 @@ def _stabilized_instance(rng: random.Random, max_window: int = 10,
                          max_pattern: int = 4):
     """Random (f, g, E, F, p) with F stabilizing E under witness g."""
     window = rng.randint(4, max_window)
-    f = _random_coloring(rng, window)
+    rows = _rows_from_function(window, lambda x, y: _coin(rng))
     split = rng.randint(1, window - 1)
     E = sorted(x for x in range(split) if rng.random() < 0.7)
     F = sorted(y for y in range(split, window) if rng.random() < 0.7)
     g = PartialColoring({x: _coin(rng) for x in range(window)})
-    return _recolored(f, E, F, g), g, E, F, _random_pattern(rng, max_pattern)
+    return _recolored(rows, E, F, g), g, E, F, _random_pattern(rng, max_pattern)
 
 
 def suite_stabilized_avoidance_equivalence(rng: random.Random,
@@ -224,14 +220,14 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
         i = _coin(rng)
         p = rng.choice(pool[i])
         window = rng.randint(4, 10)
-        f0 = _random_coloring(rng, window)
+        rows = _rows_from_function(window, lambda x, y: _coin(rng))
         split = rng.randint(1, window - 1)
         E = sorted(x for x in range(split) if rng.random() < 0.6)
         F = sorted(y for y in range(split, window) if rng.random() < 0.6)
         gE = _coin(rng)
         g = PartialColoring({**{x: gE for x in E}, **{y: 1 - i for y in F}})
         cross = _coin(rng)
-        f = _recolored(f0, E, F, lambda x: cross)
+        f = _recolored(rows, E, F, lambda x: cross)
         union = sorted(set(E) | set(F))
         if not avoids(f, union, p):
             continue

@@ -51,8 +51,7 @@ def fg_avoids(f: FiniteColoring, g: PartialColoring, X: Iterable[int],
     if not g.defined_on(xs):
         raise PatternError("witness must be defined on all of X")
     return avoids(f, xs, p) and _kernels.lex_least_realizer(
-        f.rows, xs, _kernels.pattern_matrix(p),
-        sum(g.assignments[x] << x for x in xs)) is None
+        f.rows, xs, p.rows, sum(g.assignments[x] << x for x in xs)) is None
 
 
 def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],
@@ -181,7 +180,7 @@ def max_avoiding_subset(f: FiniteColoring, W: Iterable[int], p: Pattern) -> froz
     ws = _check_window_subset(f, W)
     if len(ws) > 20:
         raise PatternError(f"brute-force oracle capped at 20 vertices, got {len(ws)}")
-    return frozenset(_kernels.max_avoiding_elems(f.rows, ws, _kernels.pattern_matrix(p)))
+    return frozenset(_kernels.max_avoiding_elems(f.rows, ws, p.rows))
 
 
 # ---------------------------------------------------------------------------

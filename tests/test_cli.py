@@ -264,6 +264,16 @@ class TestInputErrors:
     def test_negative_count(self, capsys):
         self.assert_user_error(capsys, "verify-lemmas", "--count", "-3")
 
+    def test_negative_least_bound(self, capsys, coloring_file):
+        self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
+                               "2:0", "true", "--least-bound", "-1")
+
+    def test_negative_window(self, capsys, tmp_path):
+        tree = tmp_path / "tree.txt"
+        tree.write_text("\n0\n1\n")
+        err = self.assert_user_error(capsys, "tree2col", str(tree), "--window", "-1")
+        assert err == "error: window must be >= 0\n"
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, coloring_file, fixtures):

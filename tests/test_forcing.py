@@ -204,6 +204,10 @@ class TestLeastBound:
         with pytest.raises(PatternError):
             least_bound(lambda n: True, MAX_BOUND + 1)
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(PatternError, match="nonnegative"):
+            least_bound(lambda n: True, -1)
+
 
 class TestMonotonicity:
     def test_omega_monotone_in_bound(self):
