@@ -42,7 +42,7 @@ def decompositions(p: Pattern) -> list[tuple[Pattern, Pattern]]:
     return out
 
 
-def is_irreducible(p: Pattern, method: str = "definitional") -> bool:
+def is_irreducible(p: Pattern, method: str = "criterion") -> bool:
     if method == "definitional":
         return not decompositions(p)
     if method == "criterion":

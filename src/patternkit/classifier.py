@@ -1,12 +1,17 @@
 """Sub-pattern enumeration, preservation verdicts, and census tables.
 
 The three verdicts correspond to successively stronger demands on the
-sub-patterns of p:
+order-preserving sub-patterns of p:
 
 * omega_hyp:   some sub-pattern is divergent and irreducible;
 * one_2dim:    two such sub-patterns exist (possibly equal), one 0-merging
                and one 1-merging;
 * omega_2dim:  a single sub-pattern is divergent, irreducible and merging.
+
+All three are read off p's least witness of each kind in (size, code) order.
+Every proper order-preserving sub-pattern of p lies in a one-vertex deletion
+of p, so each witness is the least of the deletions' witnesses, or p itself
+when p qualifies and no deletion has one; `census` shares one memo per size.
 
 The sub-pattern enumeration supports two modes: monotone (order-preserving
 embeddings, i.e. induced restrictions) and injective (arbitrary injections,
@@ -52,22 +57,30 @@ def subpatterns(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
                      for k in range(1, p.size + 1) for g in vertex_maps(k, p.size, mode))
 
 
-def _least_witnesses(p: Pattern) -> dict[str, Pattern]:
+def _least_witnesses(p: Pattern, memo: dict[Pattern, dict[str, Pattern]]) -> dict[str, Pattern]:
     """The least order-preserving sub-pattern of p, in (size, code) order,
     for each witness kind it has: divergent and irreducible ("omega_hyp"),
     and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
-    "one_2dim_1merging", "omega_2dim")."""
-    found: dict[str, Pattern] = {}
-    for q in sorted(subpatterns(p, "monotone"), key=lambda q: (q.size, q.code)):
-        fl = classify(q)
-        if not (fl.divergent and fl.irreducible):
-            continue
+    "one_2dim_1merging", "omega_2dim").  memo holds the patterns decided so far."""
+    found = memo.get(p)
+    if found is not None:
+        return found
+    found = {}
+    if p.size > 1:
+        rows = p.rows
+        for v in range(p.size):
+            d = _coded(p.size - 1, _gather(rows, [x for x in range(p.size) if x != v]))
+            for key, q in _least_witnesses(d, memo).items():
+                found[key] = min(found.get(key, q), q)
+    fl = classify(p)
+    if fl.divergent and fl.irreducible:
         for key, holds in (("omega_hyp", True),
                            ("one_2dim_0merging", fl.merging0),
                            ("one_2dim_1merging", fl.merging1),
                            ("omega_2dim", fl.merging)):
             if holds:
-                found.setdefault(key, q)
+                found.setdefault(key, p)
+    memo[p] = found
     return found
 
 
@@ -76,15 +89,15 @@ def _one_2dim(w: dict[str, Pattern]) -> bool:
 
 
 def preserves_omega_hyp(p: Pattern) -> bool:
-    return "omega_hyp" in _least_witnesses(p)
+    return "omega_hyp" in _least_witnesses(p, {})
 
 
 def preserves_one_2dim(p: Pattern) -> bool:
-    return _one_2dim(_least_witnesses(p))
+    return _one_2dim(_least_witnesses(p, {}))
 
 
 def preserves_omega_2dim(p: Pattern) -> bool:
-    return "omega_2dim" in _least_witnesses(p)
+    return "omega_2dim" in _least_witnesses(p, {})
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,7 @@ class ClassificationReport:
 def report(p: Pattern) -> ClassificationReport:
     """Full report with least witnesses in (size, bitstring) order; the two
     one_2dim witnesses are listed only when both exist."""
-    w = _least_witnesses(p)
+    w = _least_witnesses(p, {})
     one_2dim = _one_2dim(w)
     return ClassificationReport(
         pattern=p,
@@ -153,12 +166,11 @@ class Census:
 
 def census(size: int, verdicts: bool = True) -> Census:
     """Classify every pattern of the given size; deterministic row order."""
-    _check_guard(size)
-    rows = []
+    rows, memo = [], {}
     for p in enumerate_patterns(size):
         fl = classify(p)
         if verdicts:
-            w = _least_witnesses(p)
+            w = _least_witnesses(p, memo)
             oh, o1, o2 = "omega_hyp" in w, _one_2dim(w), "omega_2dim" in w
         else:
             oh = o1 = o2 = False

@@ -9,6 +9,7 @@ text layout and one-record-per-line key:value output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -168,7 +169,7 @@ def cmd_join(args) -> int:
 
 def cmd_subpatterns(args) -> int:
     p = parse_pattern(args.pattern)
-    subs = sorted(subpatterns(p, args.mode), key=lambda q: (q.size, q.code))
+    subs = sorted(subpatterns(p, args.mode))
     for q in subs:
         print(format_pattern(q))
     return 0
@@ -390,10 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
     except PatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

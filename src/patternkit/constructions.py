@@ -233,7 +233,7 @@ class BiArrayFunctional:
 @dataclass(frozen=True)
 class TraceEvent:
     stage: int
-    kind: str           # act / restrain / release / attention / injury / marker / commit / color
+    kind: str           # act / restrain / attention / injury / marker / commit / color
     requirement: str
     detail: tuple[tuple[str, str], ...] = ()
 
@@ -570,7 +570,7 @@ def _check_restraints(trace: ConstructionTrace, f) -> CheckResult:
                     return CheckResult("restraints", False, ev.stage,
                                        f"{ev.requirement} overlaps {req}")
             active[ev.requirement] = elems
-        elif ev.kind in ("release", "injury"):
+        elif ev.kind == "injury":
             active.pop(ev.requirement, None)
     return CheckResult("restraints", True)
 

@@ -27,9 +27,9 @@ class PatternError(ValueError):
     """Malformed pattern text or size/arity violation."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, order=True)
 class Pattern:
-    """A 2-coloring of unordered pairs over [0, size), stored as its code."""
+    """A 2-coloring of unordered pairs over [0, size), ordered by (size, code)."""
 
     size: int
     code: int

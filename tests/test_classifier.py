@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from patternkit.cli import main
 from patternkit.core import PatternError, dual, is_subpattern, parse_pattern
 from patternkit.algebra import classify, join
 from patternkit.classifier import (
@@ -151,6 +154,22 @@ class TestCensus:
         assert vc["omega_hyp"] == 2
         assert vc["one_2dim"] == 0
         assert vc["omega_2dim"] == 0
+
+    def test_size6_pinned(self, capsys):
+        # the records and counts of the full-subset scan the one-vertex
+        # deletion recursion replaced
+        assert main(["census", "6", "--format", "records"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "e026b86a42c4c4636d09362cc819319ef7694f0e195fcc0cbb702222765ee965")
+        c = census(6)
+        assert c.total == 32768
+        assert c.count(lambda r: r.flags.divergent) == 30720
+        assert c.count(lambda r: r.flags.irreducible) == 28576
+        assert c.count(lambda r: r.flags.divergent and r.flags.irreducible) == 26790
+        assert c.count(lambda r: r.flags.merging) == 32128
+        assert c.verdict_counts() == {
+            "omega_hyp": 32374, "one_2dim": 31338, "omega_2dim": 31226}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import patternkit
 from patternkit.cli import main
 from patternkit.core import constant_coloring
 from patternkit.io import format_coloring, format_tree, parse_coloring, parse_record
@@ -290,3 +294,19 @@ class TestDeterminism:
             _, first, _ = run_cli(capsys, *argv)
             _, second, _ = run_cli(capsys, *argv)
             assert first == second, argv
+
+
+class TestClosedStdout:
+    def test_reader_leaving_early_is_quiet(self):
+        # census 5 prints more than a pipe buffer holds, so a write fails
+        # once the reader has closed its end
+        env = {**os.environ, "PYTHONPATH": str(Path(patternkit.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patternkit.cli", "census", "5", "--format", "records"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"pattern:5:")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
