@@ -42,19 +42,16 @@ def decompositions(p: Pattern) -> list[tuple[Pattern, Pattern]]:
     return out
 
 
-def is_irreducible(p: Pattern, method: str = "criterion") -> bool:
-    if method == "definitional":
-        return not decompositions(p)
-    if method == "criterion":
-        # every split F = [0,k), G = [k,l) with F nonempty and |G| >= 2 must
-        # have an F-vertex whose colors toward G differ
-        rows = p.rows
-        for k in range(1, p.size - 1):
-            G = (1 << p.size) - (1 << k)
-            if all(r & G in (0, G) for r in rows[:k]):
-                return False
-        return True
-    raise PatternError(f"unknown irreducibility method {method!r}")
+def is_irreducible(p: Pattern) -> bool:
+    """Whether p is no join of smaller patterns (`not decompositions(p)`),
+    decided by the split criterion: every split F = [0,k), G = [k,l) with F
+    nonempty and |G| >= 2 has an F-vertex whose colors toward G differ."""
+    rows = p.rows
+    for k in range(1, p.size - 1):
+        G = (1 << p.size) - (1 << k)
+        if all(r & G in (0, G) for r in rows[:k]):
+            return False
+    return True
 
 
 def is_divergent(p: Pattern) -> bool:

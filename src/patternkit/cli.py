@@ -84,7 +84,7 @@ def cmd_classify(args) -> int:
     p = parse_pattern(args.pattern)
     rep = report(p)
     if args.format == "records":
-        rec = {"pattern": format_pattern(p), "mode": args.mode}
+        rec = {"pattern": format_pattern(p)}
         rec.update(_flags_record(rep.flags))
         rec.update({
             "omega_hyp": int(rep.verdict_omega_hyp),
@@ -95,7 +95,7 @@ def cmd_classify(args) -> int:
         print(pio.emit_record(rec))
         return 0
     fl = rep.flags
-    print(f"pattern {format_pattern(p)} (mode {args.mode})")
+    print(f"pattern {format_pattern(p)}")
     print(f"  divergent:   {_yn(fl.divergent)}")
     print(f"  irreducible: {_yn(fl.irreducible)}")
     print(f"  0-merging:   {_yn(fl.merging0)}")
@@ -122,7 +122,7 @@ def cmd_census(args) -> int:
                 })
             print(pio.emit_record(rec))
         return 0
-    print(f"census size={c.size} mode={args.mode} total={c.total}")
+    print(f"census size={c.size} total={c.total}")
     print(f"  divergent:               {c.count(lambda r: r.flags.divergent)}")
     print(f"  irreducible:             {c.count(lambda r: r.flags.irreducible)}")
     print(f"  divergent+irreducible:   "
@@ -231,6 +231,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_force_eval(args) -> int:
+    if args.kind != "disjunctive":
+        for option in ("stem1", "pattern1", "predicate1"):
+            if getattr(args, option) is not None:
+                raise PatternError(f"--{option} applies only to the disjunctive question")
+    if args.least_bound is not None and args.bound is not None:
+        raise PatternError("--bound and --least-bound exclude each other")
     f = pio.parse_coloring(_read(args.coloring))
     X = _int_list(args.reservoir, "--reservoir")
     stem = _int_list(args.stem, "--stem")
@@ -244,7 +250,7 @@ def cmd_force_eval(args) -> int:
         def run(n):
             return eval_question_i(f, stem, X, p, phi, n, collect_failure=True)
     elif args.kind == "disjunctive":
-        stem1 = _int_list(args.stem1, "--stem1")
+        stem1 = _int_list(args.stem1 or "", "--stem1")
         p1 = parse_pattern(args.pattern1) if args.pattern1 else p
         phi1 = catalogue_predicate(args.predicate1, f) if args.predicate1 else phi
 
@@ -259,8 +265,9 @@ def cmd_force_eval(args) -> int:
         rec = {"question": args.kind, "least_bound": n if n is not None else "-"}
         print(pio.emit_record(rec))
         return 0
-    verdict, failure = run(args.bound)
-    rec = {"question": args.kind, "bound": args.bound, "verdict": int(verdict)}
+    bound = args.bound or 0
+    verdict, failure = run(bound)
+    rec = {"question": args.kind, "bound": bound, "verdict": int(verdict)}
     if failure is not None:
         if args.kind == "i":
             h0, h1 = failure
@@ -318,13 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="classify a pattern and its sub-patterns")
     sp.add_argument("pattern")
-    sp.add_argument("--mode", choices=("injective", "monotone"), default="injective")
     add_format(sp)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("census", help="classify every pattern of a given size")
     sp.add_argument("size", type=int)
-    sp.add_argument("--mode", choices=("injective", "monotone"), default="injective")
     sp.add_argument("--no-verdicts", action="store_true")
     add_format(sp)
     sp.set_defaults(fn=cmd_census)
@@ -366,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("pattern")
     sp.add_argument("predicate", help="true|false|size>=K|contains:V|homogeneous:C[:MIN]")
     sp.add_argument("--stem", default="")
-    sp.add_argument("--stem1", default="")
-    sp.add_argument("--pattern1", default="")
-    sp.add_argument("--predicate1", default="")
+    sp.add_argument("--stem1", help="disjunctive only")
+    sp.add_argument("--pattern1", help="disjunctive only")
+    sp.add_argument("--predicate1", help="disjunctive only")
     sp.add_argument("--reservoir", default="", help="comma-separated reservoir")
-    sp.add_argument("--bound", type=int, default=0)
+    sp.add_argument("--bound", type=int, help="default 0; not with --least-bound")
     sp.add_argument("--least-bound", type=int, default=None)
     sp.set_defaults(fn=cmd_force_eval)
 

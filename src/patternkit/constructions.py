@@ -261,24 +261,20 @@ class ConstructionTrace:
 # no-injury builder against enumeration approximations
 
 
-def oldest_blocks(o: ApproxOracle, e: int, s: int, p: Pattern, rows: Sequence[int],
-                  count: int, _ages: Optional[dict[int, int]] = None
-                  ) -> Optional[list[list[int]]]:
-    """Up to `count` pairwise disjoint realizers of the truncation of p inside
-    the stage-s enumeration, under the coloring built so far (its rows, as in
-    FiniteColoring), picked greedily by decreasing minimum age with ties
-    broken toward the least minimum element; None when fewer exist."""
+def oldest_blocks(ages: dict[int, int], p: Pattern, rows: Sequence[int],
+                  count: int) -> Optional[list[list[int]]]:
+    """Up to `count` pairwise disjoint realizers of the truncation of p among
+    the keys of `ages` (a stage's enumeration, each element mapped to its
+    `age`), under the coloring built so far (its rows, as in FiniteColoring),
+    picked greedily by decreasing minimum age with ties broken toward the
+    least minimum element; None when fewer exist."""
     if count < 1:
         raise PatternError("block count must be >= 1")
-    # _ages, when given, is keyed by the stage-s enumeration itself
-    elems = sorted(_ages if _ages is not None else o.query(e, s))
-    pm_ = minus(p)
-    if count * pm_.size > len(elems):
+    if count * (p.size - 1) > len(ages):
         return None
-    prows = pm_.rows
-    ages = _ages if _ages is not None else {x: age(o, e, x, s) for x in elems}
+    prows = minus(p).rows
     blocks: list[list[int]] = []
-    remaining = list(elems)
+    remaining = sorted(ages)
     while len(blocks) < count:
         hit = None
         for t in sorted({ages[x] for x in remaining}, reverse=True):
@@ -304,29 +300,22 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
         raise PatternError("need at least one stage")
     rows = [0] * stages
     events: list[TraceEvent] = []
-    nonempty = set(o.indices())
-    # incremental ages per oracle index, updated once per stage
-    ages: dict[int, dict[int, int]] = {e: {} for e in nonempty}
-    prev_sets: dict[int, frozenset[int]] = {e: frozenset() for e in nonempty}
+    # per nonempty oracle index, the stage's enumeration mapped to the ages
+    ages: dict[int, dict[int, int]] = {e: {} for e in o.indices()}
     # (e, pattern, block count, label) of each requirement on a nonempty
     # index, in priority order; requirement k joins at stage k + 1
     reqs: list[tuple[int, Pattern, int, str]] = []
 
     for s in range(stages):
-        for e in nonempty:
-            cur = o.query(e, s)
-            ages[e] = {x: (ages[e].get(x, -1) + 1 if x in prev_sets[e] else 0)
-                       for x in cur}
-            prev_sets[e] = cur
+        for e in ages:
+            ages[e] = {x: ages[e].get(x, -1) + 1 for x in o.query(e, s)}
         if s:
             a, e = cantor_unpair(s - 1)
-            if e in nonempty:
+            if e in ages:
                 reqs.append((e, index_pattern(a), h_bound(s - 1) + 1, f"R[{a},{e}]"))
         restrained: set[int] = set()
         for e, p, count, req in reqs:
-            if not prev_sets[e]:
-                continue
-            blocks = oldest_blocks(o, e, s, p, rows, count, _ages=ages[e])
+            blocks = oldest_blocks(ages[e], p, rows, count)
             if blocks is None:
                 continue
             pick = next((b for b in blocks if not restrained & set(b)), None)
@@ -432,100 +421,67 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
     if stages < 1:
         raise PatternError("need at least one stage")
     n = 2 * len(bs)
-    partially = [False] * n
-    fully = [False] * n
+    labels = [f"R[{j // 2},{j % 2}]" for j in range(n)]
+    status = ["none"] * n   # none / partial / full
     restraints: list[set[int]] = [set() for _ in range(n)]
     commitments: dict[int, int] = {}
     rows = [0] * stages
     events: list[TraceEvent] = []
 
-    def cross_color_ok(E, F, want):
-        return all(rows[x] >> y & 1 == want for x in E for y in F)
-
     for s in range(stages):
         for x, c in commitments.items():  # every committed x lies below s
             rows[x] |= c << s
             rows[s] |= c << x
-        acted = None
+        higher: set[int] = set()
         for j in range(n):
             e, i = divmod(j, 2)
             fn = bs[e]
-            higher = set().union(*restraints[:j]) if j else set()
-            allowed = set(range(e + 1, s))
-            second = None
-            if not fully[j]:
+
+            def fits(S):  # nonempty, inside (e, s) and free of higher restraints
+                return S and e < min(S) and max(S) < s and not S & higher
+
+            # (attention detail, new status, (set, limit color) commitments)
+            action = None
+            if status[j] != "full":
                 for nn, mm in fn.secondary_args():
                     E, F = fn.E(nn, s), fn.F(nn, mm, s)
-                    if E is None or F is None or not E or not F:
-                        continue
-                    if not (E <= allowed and F <= allowed and max(E) < min(F)):
-                        continue
-                    if (E | F) & higher:
-                        continue
-                    if cross_color_ok(E, F, 1 - i):
-                        second = (nn, mm, E, F)
+                    if (fits(E) and fits(F) and max(E) < min(F)
+                            and all(rows[x] >> y & 1 == 1 - i for x in E for y in F)):
+                        action = (_detail(kind="second", n=nn, m=mm), "full",
+                                  ((E, i), (F, 1 - i)))
                         break
-            first = None
-            if second is None and not partially[j]:
+            if action is None and status[j] == "none":
                 for nn in fn.primary_args():
                     E = fn.E(nn, s)
-                    if E is None or not E or not E <= allowed or E & higher:
-                        continue
-                    first = (nn, E)
-                    break
-            if second is not None:
-                nn, mm, E, F = second
-                req = f"R[{e},{i}]"
-                restraints[j] = set(E | F)
-                events.append(TraceEvent(s, "attention", req,
-                                         _detail(kind="second", n=nn, m=mm)))
-                events.append(TraceEvent(s, "restrain", req,
-                                         _detail(elements=",".join(map(str, sorted(E | F))))))
-                for x in sorted(E):
-                    commitments[x] = i
-                    events.append(TraceEvent(s, "commit", req,
-                                             _detail(x=x, limit=i, start=s)))
-                for x in sorted(F):
-                    commitments[x] = 1 - i
-                    events.append(TraceEvent(s, "commit", req,
-                                             _detail(x=x, limit=1 - i, start=s)))
-                fully[j] = partially[j] = True
-                acted = j
-                break
-            if first is not None:
-                nn, E = first
-                req = f"R[{e},{i}]"
-                restraints[j] = set(E)
-                events.append(TraceEvent(s, "attention", req,
-                                         _detail(kind="first", n=nn)))
-                events.append(TraceEvent(s, "restrain", req,
-                                         _detail(elements=",".join(map(str, sorted(E))))))
-                for x in sorted(E):
-                    commitments[x] = 1 - i
-                    events.append(TraceEvent(s, "commit", req,
-                                             _detail(x=x, limit=1 - i, start=s)))
-                partially[j] = True
-                acted = j
-                break
-        if acted is not None:
-            for jj in range(acted + 1, n):
-                if partially[jj] or fully[jj] or restraints[jj]:
-                    events.append(TraceEvent(s, "injury", f"R[{jj // 2},{jj % 2}]",
-                                             _detail(by=f"R[{acted // 2},{acted % 2}]")))
-                partially[jj] = fully[jj] = False
+                    if fits(E):
+                        action = (_detail(kind="first", n=nn), "partial", ((E, 1 - i),))
+                        break
+            if action is None:
+                higher |= restraints[j]
+                continue
+            detail, status[j], pairs = action
+            restraints[j] = set().union(*(S for S, _c in pairs))
+            events.append(TraceEvent(s, "attention", labels[j], detail))
+            events.append(TraceEvent(s, "restrain", labels[j],
+                                     _detail(elements=",".join(map(str, sorted(restraints[j]))))))
+            for S, c in pairs:
+                for x in sorted(S):
+                    commitments[x] = c
+                    events.append(TraceEvent(s, "commit", labels[j],
+                                             _detail(x=x, limit=c, start=s)))
+            for jj in range(j + 1, n):
+                if status[jj] != "none":
+                    events.append(TraceEvent(s, "injury", labels[jj], _detail(by=labels[j])))
+                status[jj] = "none"
                 restraints[jj] = set()
+            break
 
     f = FiniteColoring(stages, tuple(rows))
     limits = tuple(commitments.get(x, 0) for x in range(stages))
     sc = StableColoring(f, limits)
     trace = ConstructionTrace(
         "stable2dim", stages, tuple(events),
-        final={
-            "satisfied": {f"R[{j // 2},{j % 2}]":
-                          ("full" if fully[j] else "partial" if partially[j] else "none")
-                          for j in range(n)},
-            "commitments": dict(commitments),
-        },
+        final={"satisfied": dict(zip(labels, status)), "commitments": dict(commitments)},
         aux={"functionals": list(bs)},
     )
     return sc, trace
@@ -533,9 +489,6 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
 
 # ---------------------------------------------------------------------------
 # trace verification
-
-
-KNOWN_CHECKS = ("restraints", "commitments", "p1", "p2", "finite-actions")
 
 
 @dataclass(frozen=True)
@@ -666,6 +619,7 @@ _CHECKS = {
     "p2": _check_p2,
     "finite-actions": _check_finite_actions,
 }
+KNOWN_CHECKS = tuple(_CHECKS)
 
 
 def verify_trace(trace: ConstructionTrace, coloring,

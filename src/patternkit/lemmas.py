@@ -25,6 +25,7 @@ from .core import (
 )
 from .algebra import (
     classify,
+    decompositions,
     is_divergent,
     is_i_merging,
     is_irreducible,
@@ -122,12 +123,13 @@ def suite_convergent_merging(max_size: int = 6) -> SuiteResult:
 
 
 def suite_irreducibility_criterion(max_size: int = 5) -> SuiteResult:
-    """Definitional and split-criterion irreducibility agree; exhaustive."""
+    """Split-criterion irreducibility agrees with the definition (no
+    decomposition into a join); exhaustive."""
     bad, runs = [], 0
     for size in range(1, max_size + 1):
         for p in enumerate_patterns(size):
             runs += 1
-            if is_irreducible(p, "definitional") != is_irreducible(p, "criterion"):
+            if is_irreducible(p) == bool(decompositions(p)):
                 bad.append(str(p))
     return SuiteResult("irreducibility-criterion", runs, tuple(bad[:5]))
 

@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from patternkit.core import Pattern, PatternError, dual, parse_pattern
+from patternkit.core import Pattern, dual, parse_pattern
 from patternkit.algebra import (
     classify,
     decompositions,
@@ -89,18 +87,14 @@ class TestIrreducibility:
 
     def test_tiny_patterns_irreducible(self):
         for text in ("1:", "2:0", "2:1"):
-            assert is_irreducible(parse_pattern(text), "definitional")
-            assert is_irreducible(parse_pattern(text), "criterion")
+            assert is_irreducible(parse_pattern(text))
+            assert not decompositions(parse_pattern(text))
 
     def test_methods_agree_exhaustively_small(self):
+        # the criterion against the definition: no decomposition into a join
         for size in range(1, 6):
             for p in enumerate_patterns(size):
-                assert (is_irreducible(p, "definitional")
-                        == is_irreducible(p, "criterion")), p
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(PatternError):
-            is_irreducible(parse_pattern("3:010"), "guesswork")
+                assert is_irreducible(p) == (not decompositions(p)), p
 
 
 class TestDivergence:

@@ -61,12 +61,14 @@ class TestCensus:
 
 
 class TestMode:
-    def test_classify_and_census_print_mode(self, capsys):
-        _, out, _ = run_cli(capsys, "classify", "3:010", "--mode", "monotone",
-                            "--format", "records")
-        assert "mode:monotone" in out
-        _, out, _ = run_cli(capsys, "census", "3", "--mode", "monotone")
-        assert "mode=monotone" in out
+    @pytest.mark.parametrize("argv", [("classify", "3:010"), ("census", "3")],
+                             ids=["classify", "census"])
+    def test_verdict_commands_reject_mode(self, capsys, argv):
+        # the verdicts take no mode; only subpatterns does
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mode", "monotone"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestAlgebraCommands:
@@ -267,6 +269,24 @@ class TestInputErrors:
 
     def test_negative_count(self, capsys):
         self.assert_user_error(capsys, "verify-lemmas", "--count", "-3")
+
+    @pytest.mark.parametrize("kind, option, value", [
+        ("omega", "--stem1", "1"),
+        ("i", "--pattern1", "2:1"),
+        ("omega", "--predicate1", "true"),
+    ])
+    def test_disjunctive_options_on_other_questions(self, capsys, coloring_file,
+                                                    kind, option, value):
+        err = self.assert_user_error(capsys, "force-eval", kind, coloring_file,
+                                     "2:0", "true", "--reservoir", "1,2",
+                                     "--bound", "2", option, value)
+        assert option in err
+
+    def test_bound_with_least_bound(self, capsys, coloring_file):
+        err = self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
+                                     "2:0", "true", "--reservoir", "1,2",
+                                     "--bound", "2", "--least-bound", "3")
+        assert "--bound" in err
 
     def test_negative_least_bound(self, capsys, coloring_file):
         self.assert_user_error(capsys, "force-eval", "omega", coloring_file,

@@ -207,8 +207,8 @@ def test_predicates():
         assert is_divergent(p) == ref_is_divergent(r)
         assert is_i_merging(p, 0) == ref_is_i_merging(r, 0)
         assert is_i_merging(p, 1) == ref_is_i_merging(r, 1)
-        assert is_irreducible(p, "criterion") == ref_criterion(r)
-        assert is_irreducible(p, "definitional") == ref_irreducible(r)
+        assert is_irreducible(p) == ref_criterion(r)
+        assert (not decompositions(p)) == ref_irreducible(r)
         fl = classify(p)
         assert (fl.divergent, fl.irreducible, fl.merging0, fl.merging1) == (
             ref_is_divergent(r), ref_irreducible(r),

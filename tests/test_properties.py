@@ -72,7 +72,6 @@ def test_decompositions_rejoin_and_match_irreducibility(p):
     for left, right in ds:
         assert join(left, right) == p
     assert is_irreducible(p) == (not ds)
-    assert is_irreducible(p, "criterion") == (not ds)
 
 
 @given(patterns(min_size=2, max_size=6), st.data())
