@@ -204,12 +204,10 @@ def cmd_simulate(args) -> int:
         fns, patterns = pio.parse_measure_oracle(text)
         f, trace = build_measure_coloring(fns, patterns, args.stages)
         coloring_text = pio.format_coloring(f)
-    elif args.kind == "stable2dim":
+    else:  # stable2dim, the last of the parser's choices
         bs = pio.parse_biarray_oracle(text)
         f, trace = build_stable_2dim_coloring(bs, args.stages)
         coloring_text = pio.format_stable_coloring(f)
-    else:
-        raise PatternError(f"unknown construction kind {args.kind!r}")
     rep = verify_trace(trace, f)
     if args.coloring_out:
         _write(args.coloring_out, coloring_text)
@@ -249,7 +247,7 @@ def cmd_force_eval(args) -> int:
     elif args.kind == "i":
         def run(n):
             return eval_question_i(f, stem, X, p, phi, n, collect_failure=True)
-    elif args.kind == "disjunctive":
+    else:  # disjunctive, the last of the parser's choices
         stem1 = _int_list(args.stem1 or "", "--stem1")
         p1 = parse_pattern(args.pattern1) if args.pattern1 else p
         phi1 = catalogue_predicate(args.predicate1, f) if args.predicate1 else phi
@@ -257,8 +255,6 @@ def cmd_force_eval(args) -> int:
         def run(n):
             return eval_question_disjunctive(f, stem, stem1, X, p, p1, phi, phi1,
                                              n, collect_failure=True)
-    else:
-        raise PatternError(f"unknown question kind {args.kind!r}")
 
     if args.least_bound is not None:
         n = least_bound(lambda nn: run(nn)[0], args.least_bound)

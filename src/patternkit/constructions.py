@@ -24,8 +24,6 @@ from .core import (
     StableColoring,
     _coded,
     minus,
-    realizes,
-    restrict,
 )
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,7 @@ def cover_measure(prefixes: Iterable[str]) -> Fraction:
                Fraction(0))
 
 
-def requires_attention_measure(state: Sequence[frozenset[int]],
+def requires_attention_measure(state: Sequence[Iterable[int]],
                                fn: PrefixFunctional, m: int, s: int,
                                p: Pattern) -> bool:
     """Measure of oracles producing an element of [m, s] exceeds 1 - 1/(2|p|)."""
@@ -172,20 +170,17 @@ def requires_attention_measure(state: Sequence[frozenset[int]],
 
 def joint_meeting_measure(fn: PrefixFunctional, s: int,
                           target_sets: Sequence[frozenset[int]]) -> Fraction:
-    """Exact measure of oracles whose output meets every target set."""
-    quals = [fn.qualifying_prefixes(s, t) for t in target_sets]
-    if any(not q for q in quals):
-        return Fraction(0)
-    maxlen = max(len(tau) for q in quals for tau in q)
+    """Exact measure of oracles whose output meets every target set.
 
-    def walk(sigma: str) -> Fraction:
-        if all(any(sigma.startswith(tau) for tau in q) for q in quals):
-            return Fraction(1)
-        if len(sigma) >= maxlen:
-            return Fraction(0)
-        return (walk(sigma + "0") + walk(sigma + "1")) / 2
-
-    return walk("")
+    Two cylinders meet only when one prefix extends the other, and then in
+    the longer one.  So the oracles meeting every set seen so far form the
+    union of the cylinders in `meet`, each of them a qualifying prefix."""
+    meet = {""}
+    for t in target_sets:
+        quals = fn.qualifying_prefixes(s, t)
+        meet = {max(a, b, key=len) for a in meet for b in quals
+                if a.startswith(b) or b.startswith(a)}
+    return cover_measure(meet)
 
 
 @dataclass(frozen=True)
@@ -254,7 +249,7 @@ class ConstructionTrace:
     stages: int
     events: tuple[TraceEvent, ...]
     final: dict = field(default_factory=dict)
-    aux: dict = field(default_factory=dict)   # oracle references for re-checks
+    aux: dict = field(default_factory=dict)   # what the measure checks read
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
             events.append(TraceEvent(s, "act", req,
                                      _detail(block=",".join(map(str, pick)))))
     f = FiniteColoring(stages, tuple(rows))
-    trace = ConstructionTrace("dnc", stages, tuple(events), final={}, aux={"oracle": o})
+    trace = ConstructionTrace("dnc", stages, tuple(events))
     return f, trace
 
 
@@ -355,7 +350,7 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
         raise PatternError("patterns must have size >= 2")
     n = len(fs)
     markers = [0] * n
-    states: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    states: list[list[range]] = [[] for _ in range(n)]
     commitments: dict[int, int] = {}
     rows = [0] * stages
     events: list[TraceEvent] = []
@@ -375,11 +370,11 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
             j, p = winner, patterns[winner]
             req = f"R[{j}]"
             t = len(states[j])
-            F_t = frozenset(range(markers[j], s + 1))
+            F_t = range(markers[j], s + 1)
             states[j].append(F_t)
             events.append(TraceEvent(s, "attention", req,
                                      _detail(length=t + 1,
-                                             block=",".join(map(str, sorted(F_t))))))
+                                             block=",".join(map(str, F_t)))))
             markers[j] = s + 1
             events.append(TraceEvent(s, "marker", req, _detail(to=s + 1)))
             for jj in range(winner + 1, n):
@@ -391,7 +386,7 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
             if t < p.size - 1:
                 for i, F_i in enumerate(states[j]):
                     c = p(i, t + 1)
-                    for x in sorted(F_i):
+                    for x in F_i:
                         commitments[x] = c
                         events.append(TraceEvent(s, "commit", req,
                                                  _detail(x=x, limit=c, start=s)))
@@ -399,7 +394,7 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     trace = ConstructionTrace(
         "measure", stages, tuple(events),
         final={
-            "states": {f"R[{j}]": [sorted(F) for F in states[j]] for j in range(n)},
+            "states": {f"R[{j}]": [list(F) for F in states[j]] for j in range(n)},
             "markers": {f"R[{j}]": markers[j] for j in range(n)},
             "commitments": dict(commitments),
         },
@@ -482,7 +477,6 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
     trace = ConstructionTrace(
         "stable2dim", stages, tuple(events),
         final={"satisfied": dict(zip(labels, status)), "commitments": dict(commitments)},
-        aux={"functionals": list(bs)},
     )
     return sc, trace
 
@@ -553,20 +547,23 @@ def _check_commitments(trace: ConstructionTrace, f) -> CheckResult:
 
 
 def _check_p1(trace: ConstructionTrace, f) -> CheckResult:
+    """Every selection of one element per stacked interval realizes the
+    restriction of the requirement's pattern p to the state's length.
+
+    The builder stacks increasing intervals, so a selection lists its
+    elements in state order and realizes that restriction exactly when each
+    of its pairs has the colour p gives the pair's two intervals.  Every pair
+    of elements from two intervals lies in some selection, so testing each
+    such pair once decides every selection."""
     if trace.builder != "measure":
         return CheckResult("p1", True, message="not applicable")
     patterns = {f"R[{j}]": p for j, p in enumerate(trace.aux["patterns"])}
     for req, state in trace.final["states"].items():
-        if not state:
-            continue
         p = patterns[req]
-        pt = restrict(p, range(len(state)))
-        if pt.size == 1:
-            continue
-        for sel in itertools.product(*state):
-            if not realizes(f, sel, pt):
-                return CheckResult("p1", False, None,
-                                   f"{req}: selection {sel} fails")
+        for (i, F_i), (k, F_k) in itertools.combinations(enumerate(state), 2):
+            bad = next(((x, y) for x in F_i for y in F_k if f(x, y) != p(i, k)), None)
+            if bad is not None:
+                return CheckResult("p1", False, None, f"{req}: pair {bad} fails")
     return CheckResult("p1", True)
 
 

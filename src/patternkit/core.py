@@ -274,7 +274,7 @@ class Embedding:
 
 
 def _check_window_subset(f: FiniteColoring, vertices: Iterable[int]) -> list[int]:
-    vs = sorted(vertices)
+    vs = sorted(set(vertices))
     if vs and (vs[0] < 0 or vs[-1] >= f.window):
         raise PatternError(f"vertices {vs} outside window [0,{f.window})")
     return vs

@@ -53,7 +53,7 @@ def _reservoir(f, n, stems, X) -> list[int]:
     """X ∩ [0, n], sorted, once the bound is checked and each (sorted) stem is
     known to lie in the window and below that reservoir."""
     _check_bound(f, n)
-    Xn = sorted(x for x in X if 0 <= x <= n)
+    Xn = sorted({x for x in X if 0 <= x <= n})
     for ss in filter(None, stems):
         if min(ss) < 0 or max(ss) >= f.window:
             raise PatternError(f"stem {ss} outside window [0,{f.window})")

@@ -47,7 +47,7 @@ def fg_avoids(f: FiniteColoring, g: PartialColoring, X: Iterable[int],
     witness color contradicts the last-column specification of p."""
     if p.size < 2:
         raise PatternError("witnessed avoidance needs a pattern of size >= 2")
-    xs = sorted(X)
+    xs = sorted(set(X))
     if not g.defined_on(xs):
         raise PatternError("witness must be defined on all of X")
     return avoids(f, xs, p) and _kernels.lex_least_realizer(
@@ -61,7 +61,7 @@ def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],
     Pigeonhole over the 2^|E| color vectors; ties among maximal classes are
     broken by the least vector.
     """
-    es, xs = sorted(E), sorted(X)
+    es, xs = sorted(set(E)), sorted(set(X))
     if es and xs and es[-1] >= xs[0]:
         raise PatternError("E must lie entirely below X")
     if not es:
@@ -148,7 +148,7 @@ def greedy_avoid_join(f: FiniteColoring, H: Iterable[int], p: Pattern,
     pigeonhole; the stabilized class must then avoid q.  When the window ends
     before the dichotomy settles, the longer verified candidate wins.
     """
-    hs = sorted(H)
+    hs = sorted(set(H))
     pq = join(p, q)
     witness = find_realizer(f, hs, pq)
     if witness is not None:

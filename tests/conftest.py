@@ -1,4 +1,5 @@
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -6,11 +7,28 @@ import pytest
 from patternkit.core import FiniteColoring, coloring_from_function
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TIME_LIMIT_S = 30
 
 
 @pytest.fixture
 def fixtures() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs past TIME_LIMIT_S seconds instead of letting it
+    hang the suite (SIGALRM: POSIX, main thread)."""
+    def expire(signum, frame):
+        pytest.fail(f"timed out after {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_coloring(rng: random.Random, window: int) -> FiniteColoring:

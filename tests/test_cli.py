@@ -7,6 +7,7 @@ import pytest
 
 import patternkit
 from patternkit.cli import main
+from patternkit.constructions import KNOWN_CHECKS
 from patternkit.core import constant_coloring
 from patternkit.io import format_coloring, format_tree, parse_coloring, parse_record
 from patternkit.stabilize import full_binary_tree
@@ -104,8 +105,29 @@ class TestAvoidSearch:
         rec = parse_record(out.strip())
         assert rec["size"] == "1" and rec["elements"] == "3"
 
+    def test_repeated_elements_count_once(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text(format_coloring(constant_coloring(4)))
+        code, out, _ = run_cli(capsys, "avoid-search", str(path), "3:000",
+                               "--elements", "2,2,3")
+        assert code == 0 and "(size 2): [2, 3]" in out
+
 
 class TestSimulate:
+    @pytest.mark.parametrize("oracle, stages", [
+        # four stacked intervals of about 100 elements: 10^8 selections
+        ("functional 4:000000\n- 100 100\n- 200 200\n- 300 300\n- 400 400\n", 410),
+        # one 30-bit prefix among short ones: 2^30 strings below it
+        ("functional 2:0\n1 1 1\n01 1 1\n001 1 1\n" + "0" * 30 + " 1 1\n- 5 5\n", 40),
+    ], ids=["long-intervals", "long-prefix"])
+    def test_measure_checks_finish(self, capsys, tmp_path, time_limit, oracle, stages):
+        path = tmp_path / "oracle.txt"
+        path.write_text(oracle)
+        code, out, _ = run_cli(capsys, "simulate", "measure", str(path),
+                               "--stages", str(stages))
+        assert code == 0
+        assert out.splitlines()[:5] == [f"check:{name} passed:1" for name in KNOWN_CHECKS]
+
     def test_dnc_with_outputs(self, capsys, tmp_path, fixtures):
         col = tmp_path / "c.txt"
         tr = tmp_path / "t.txt"

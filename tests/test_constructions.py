@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import pytest
 
 import patternkit.constructions as constructions
 from patternkit.core import (
+    FiniteColoring,
     PatternError,
     constant_coloring,
     find_realizer,
     parse_pattern,
     realizes,
+    restrict,
 )
 from patternkit.constructions import (
     ApproxOracle,
@@ -64,6 +67,60 @@ def overlapping_biarrays(seed: int) -> list[BiArrayFunctional]:
                           for n in range(2) for m in sorted(rng.sample(range(24), 3)))
         bs.append(BiArrayFunctional(primary, secondary))
     return bs
+
+
+def joint_measure_by_walk(fn, s, target_sets) -> Fraction:
+    """The recursive walk joint_meeting_measure replaced, kept as its oracle:
+    split the binary strings down to the longest qualifying prefix and add up
+    the cylinders that lie inside every target set's union."""
+    quals = [fn.qualifying_prefixes(s, t) for t in target_sets]
+    if any(not q for q in quals):
+        return Fraction(0)
+    maxlen = max(len(tau) for q in quals for tau in q)
+
+    def walk(sigma: str) -> Fraction:
+        if all(any(sigma.startswith(tau) for tau in q) for q in quals):
+            return Fraction(1)
+        if len(sigma) >= maxlen:
+            return Fraction(0)
+        return (walk(sigma + "0") + walk(sigma + "1")) / 2
+
+    return walk("")
+
+
+def p1_by_selections(trace, f) -> bool:
+    """The product loop _check_p1 replaced, kept as its oracle: every
+    selection of one element per stacked interval realizes the restriction
+    of the pattern to the state's length."""
+    for j, p in enumerate(trace.aux["patterns"]):
+        state = trace.final["states"][f"R[{j}]"]
+        if len(state) < 2:
+            continue
+        pt = restrict(p, range(len(state)))
+        if not all(realizes(f, sel, pt) for sel in itertools.product(*state)):
+            return False
+    return True
+
+
+def flip_pair(f: FiniteColoring, x: int, y: int) -> FiniteColoring:
+    rows = list(f.rows)
+    rows[x] ^= 1 << y
+    rows[y] ^= 1 << x
+    return FiniteColoring(f.window, tuple(rows))
+
+
+def random_measure_oracle(rng: random.Random, stages: int):
+    """One to three prefix functionals with random patterns of size 2 to 4,
+    each entry outputting its own stage under a short prefix."""
+    fns, ps = [], []
+    for _ in range(rng.randint(1, 3)):
+        fns.append(PrefixFunctional(tuple(
+            (rng.choice(["", "", "", "0", "1", "01"]), s0, frozenset({s0}))
+            for s0 in sorted(rng.sample(range(1, stages), rng.randint(2, 8))))))
+        size = rng.randint(2, 4)
+        bits = "".join(rng.choice("01") for _ in range(size * (size - 1) // 2))
+        ps.append(parse_pattern(f"{size}:{bits}"))
+    return fns, ps
 
 
 class TestIndexing:
@@ -315,6 +372,35 @@ class TestMeasures:
         assert joint_meeting_measure(fn, 9, [frozenset({1}), frozenset({2})]) \
             == Fraction(1, 2)
         assert joint_meeting_measure(fn, 9, [frozenset({7})]) == 0
+        assert joint_meeting_measure(fn, 9, []) == 1
+
+    def test_joint_meeting_measure_matches_walk_exhaustively(self):
+        # every functional of at most three entries with prefixes of length
+        # <= 2 and elements in {1, 2}, against one or two targets
+        entries = [(tau, 0, frozenset(E))
+                   for tau in ("", "0", "1", "00", "01", "10", "11")
+                   for E in ({1}, {2}, {1, 2})]
+        targets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+        target_lists = [[t] for t in targets] + [list(tu) for tu in
+                                                 itertools.product(targets, repeat=2)]
+        for k in range(4):
+            for es in itertools.combinations_with_replacement(entries, k):
+                fn = PrefixFunctional(es)
+                for ts in target_lists:
+                    assert joint_meeting_measure(fn, 5, ts) == \
+                        joint_measure_by_walk(fn, 5, ts), (es, ts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_joint_meeting_measure_matches_walk_random(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            fn = PrefixFunctional(tuple(
+                ("".join(rng.choice("01") for _ in range(rng.randint(0, 6))),
+                 rng.randrange(10), frozenset(rng.sample(range(5), rng.randint(1, 2))))
+                for _ in range(rng.randint(1, 7))))
+            ts = [frozenset(rng.sample(range(5), rng.randint(1, 3)))
+                  for _ in range(rng.randint(1, 4))]
+            assert joint_meeting_measure(fn, 8, ts) == joint_measure_by_walk(fn, 8, ts)
 
 
 class TestMeasureBuilder:
@@ -358,6 +444,45 @@ class TestMeasureBuilder:
         # the injured strategy restarts: its marker moved past the injurer's
         assert trace.final["markers"]["R[1]"] >= inj_stage + 1
         assert verify_trace(trace, f).passed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_p1_matches_selections(self, seed):
+        rng = random.Random(seed)
+        stacked = 0
+        for _ in range(10):
+            f, trace = build_measure_coloring(*random_measure_oracle(rng, 40), 40)
+            colorings = [f]
+            pairs = [(x, y) for state in trace.final["states"].values()
+                     for F_i, F_k in itertools.combinations(state, 2)
+                     for x in F_i for y in F_k]
+            if pairs:
+                stacked += 1
+                colorings.append(flip_pair(f, *rng.choice(pairs)))
+            for g in colorings:
+                res = verify_trace(trace, g, checks=("p1",)).results[0]
+                assert res.passed == p1_by_selections(trace, g) == (g is f)
+                assert res.stage is None
+        assert stacked
+
+    def test_p1_note_names_the_flipped_pair(self):
+        fn = PrefixFunctional(tuple(("", s, frozenset({s}))
+                                    for s in range(5, 100, 5)))
+        f, trace = build_measure_coloring([fn], [parse_pattern("3:010")], 100)
+        F_0, F_1, F_2 = trace.final["states"]["R[0]"]
+        res = verify_trace(trace, flip_pair(f, F_0[2], F_2[1]), checks=("p1",)).results[0]
+        assert not res.passed
+        assert res.message == f"R[0]: pair ({F_0[2]}, {F_2[1]}) fails"
+
+    def test_p2_fails_on_interval_met_by_too_little_measure(self):
+        fn = PrefixFunctional(tuple(("", s, frozenset({s}))
+                                    for s in range(5, 100, 5)))
+        f, trace = build_measure_coloring([fn], [parse_pattern("3:010")], 100)
+        assert verify_trace(trace, f, checks=("p2",)).passed
+        # no entry ever outputs 6 or 7
+        trace.final["states"]["R[0]"][1] = [6, 7]
+        res = verify_trace(trace, f, checks=("p2",)).results[0]
+        assert not res.passed
+        assert res.message == "R[0]: measure 0 for [6, 7] not above 5/6"
 
     def test_pattern_per_functional_required(self):
         with pytest.raises(PatternError):

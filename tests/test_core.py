@@ -146,6 +146,14 @@ class TestRealization:
         assert not avoids(f, {3}, parse_pattern("1:"))
         assert avoids(f, set(), parse_pattern("1:"))
 
+    def test_repeated_vertices_count_once(self):
+        # a repeated vertex is one vertex, never a degenerate pair (x, x)
+        f, p = constant_coloring(4), parse_pattern("2:0")
+        assert avoids(f, [1, 1], p)
+        assert find_realizer(f, [1, 1, 2], p) == frozenset({1, 2})
+        with pytest.raises(PatternError):
+            realizes(f, [1, 1], p)
+
     def test_find_realizer_least_pair(self):
         assert find_realizer(constant_coloring(4), range(4),
                              parse_pattern("2:0")) == frozenset({0, 1})
@@ -241,6 +249,11 @@ class TestStableColorings:
         sc = self._stable_instance()
         assert strongly_appears(sc, {0, 1, 2}, parse_pattern("3:010"))
         assert not strongly_appears(sc, set(), parse_pattern("3:010"))
+
+    def test_strongly_appears_counts_repeated_vertices_once(self):
+        sc = StableColoring(constant_coloring(4), (0,) * 4)
+        assert not strongly_appears(sc, [1, 1], parse_pattern("3:000"))
+        assert strongly_appears(sc, [1, 1, 2], parse_pattern("3:000"))
 
     def test_strongly_appears_needs_truncation_realizer(self):
         sc = StableColoring(constant_coloring(3), (1, 0, 0))

@@ -180,6 +180,25 @@ class TestStemChecks:
                 evaluate()
 
 
+class TestRepeatedReservoirVertices:
+    def test_reservoir_is_a_set(self):
+        # a repeated reservoir vertex must not let rho hold it twice
+        rng = random.Random(0)
+        for _ in range(10):
+            f = random_coloring(rng, 8)
+            X = sorted(rng.sample(range(1, 8), 3))
+            Xd = X + [rng.choice(X)]
+            p = parse_pattern(rng.choice(["2:0", "2:1", "3:010"]))
+            for phi in (pred_size_at_least(2), pred_homogeneous(f, 0)):
+                for evaluate in (
+                    lambda R: eval_question_omega(f, [0], R, p, phi, 7, True),
+                    lambda R: eval_question_i(f, [0], R, p, phi, 7, True),
+                    lambda R: eval_question_disjunctive(f, [0], [0], R, p, p, phi, phi,
+                                                        7, True),
+                ):
+                    assert evaluate(Xd) == evaluate(X)
+
+
 class TestLeastBound:
     def test_true_predicate_at_zero(self):
         f = constant_coloring(10)

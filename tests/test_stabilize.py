@@ -79,6 +79,11 @@ class TestWitnessedAvoidance:
         assert not fg_avoids(f, PartialColoring({0: 0, 1: 0, 2: 0}),
                              [0, 1, 2], p)
 
+    def test_repeated_vertices_count_once(self):
+        f, p = constant_coloring(4), parse_pattern("3:000")
+        g = PartialColoring({1: 1, 2: 1})
+        assert fg_avoids(f, g, [1, 1, 2], p) == fg_avoids(f, g, [1, 2], p) is True
+
     def test_needs_size_two_pattern(self):
         with pytest.raises(PatternError):
             fg_avoids(constant_coloring(3), PartialColoring({}), [],
@@ -116,6 +121,12 @@ class TestStabilizingTail:
         tail, g = find_stabilizing_tail(f, [0, 1], range(2, 8))
         assert tail == frozenset(range(2, 8))
         assert g(0) == 0 and g(1) == 0
+
+    def test_repeated_vertices_count_once(self):
+        # f(0, 1) = 1 and f(0, 2) = f(0, 3) = 0: the 0-class is the larger
+        f = coloring_from_function(4, lambda x, y: int((x, y) == (0, 1)))
+        tail, g = find_stabilizing_tail(f, [0, 0], [1, 1, 1, 2, 3])
+        assert tail == frozenset({2, 3}) and g == PartialColoring({0: 0})
 
     def test_empty_e_returns_everything(self):
         f = constant_coloring(8)
@@ -191,6 +202,15 @@ class TestConditions:
 
 
 class TestGreedySplit:
+    def test_repeated_vertices_count_once(self):
+        rng = random.Random(1)
+        for _ in range(40):
+            f = random_coloring(rng, 9)
+            H = sorted(rng.sample(range(9), 4))
+            p, q = (parse_pattern(rng.choice(["2:0", "2:1", "3:010"])) for _ in range(2))
+            if find_realizer(f, H, join(p, q)) is None:
+                assert greedy_avoid_join(f, H + H[:2], p, q) == greedy_avoid_join(f, H, p, q)
+
     def test_constant_zero_blocks_onto_q_side(self):
         f = constant_coloring(10)
         split = greedy_avoid_join(f, range(10), parse_pattern("2:0"),
@@ -243,6 +263,10 @@ class TestBruteForceOracle:
         f = constant_coloring(6)
         got = max_avoiding_subset(f, range(6), parse_pattern("3:000"))
         assert len(got) == 2
+
+    def test_repeated_vertices_count_once(self):
+        got = max_avoiding_subset(constant_coloring(4), [2, 2, 3], parse_pattern("3:000"))
+        assert got == frozenset({2, 3})
 
     def test_guard(self):
         with pytest.raises(PatternError):
