@@ -18,24 +18,10 @@ from .core import (
     format_pattern,
     parse_pattern,
 )
-from .algebra import classify, decompositions, join
-from .classifier import census, report, subpatterns
-from .stabilize import max_avoiding_subset, tree_to_coloring
-from .constructions import (
-    build_dnc_coloring,
-    build_measure_coloring,
-    build_stable_2dim_coloring,
-    verify_trace,
-)
-from .forcing import (
-    catalogue_predicate,
-    eval_question_disjunctive,
-    eval_question_i,
-    eval_question_omega,
-    least_bound,
-)
-from .lemmas import SUITES, run_suites
 from . import io as pio
+# each command imports the module it runs; patternkit.cli.<name> still
+# resolves every public name, through the package's one export table
+from . import __getattr__  # noqa: F401
 
 
 def _flags_record(fl) -> dict:
@@ -81,6 +67,8 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def cmd_classify(args) -> int:
+    from .classifier import report
+
     p = parse_pattern(args.pattern)
     rep = report(p)
     if args.format == "records":
@@ -109,6 +97,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .classifier import census
+
     c = census(args.size, verdicts=not args.no_verdicts)
     if args.format == "records":
         for row in c.rows:
@@ -139,6 +129,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .algebra import decompositions
+
     p = parse_pattern(args.pattern)
     ds = decompositions(p)
     if args.format == "records":
@@ -159,6 +151,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_join(args) -> int:
+    from .algebra import join
+
     ps = [parse_pattern(t) for t in args.patterns]
     out = ps[0]
     for q in ps[1:]:
@@ -168,6 +162,8 @@ def cmd_join(args) -> int:
 
 
 def cmd_subpatterns(args) -> int:
+    from .classifier import subpatterns
+
     p = parse_pattern(args.pattern)
     subs = sorted(subpatterns(p, args.mode))
     for q in subs:
@@ -176,6 +172,8 @@ def cmd_subpatterns(args) -> int:
 
 
 def cmd_avoid_search(args) -> int:
+    from .stabilize import max_avoiding_subset
+
     f = pio.parse_coloring(_read(args.coloring))
     p = parse_pattern(args.pattern)
     W = _int_list(args.elements, "--elements") or list(range(f.window))
@@ -195,6 +193,13 @@ def cmd_avoid_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .constructions import (
+        build_dnc_coloring,
+        build_measure_coloring,
+        build_stable_2dim_coloring,
+        verify_trace,
+    )
+
     text = _read(args.oracle)
     if args.kind == "dnc":
         oracle = pio.parse_approx_oracle(text)
@@ -229,6 +234,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_force_eval(args) -> int:
+    from .forcing import (
+        catalogue_predicate,
+        eval_question_disjunctive,
+        eval_question_i,
+        eval_question_omega,
+        least_bound,
+    )
+
     if args.kind != "disjunctive":
         for option in ("stem1", "pattern1", "predicate1"):
             if getattr(args, option) is not None:
@@ -276,6 +289,8 @@ def cmd_force_eval(args) -> int:
 
 
 def cmd_tree2col(args) -> int:
+    from .stabilize import tree_to_coloring
+
     tree = pio.parse_tree(_read(args.tree))
     f = tree_to_coloring(tree, args.window)
     sys.stdout.write(pio.format_coloring(f))
@@ -283,6 +298,8 @@ def cmd_tree2col(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    from .lemmas import SUITES, run_suites
+
     if args.count < 0:
         raise PatternError(f"--count must be nonnegative, got {args.count}")
     names = args.suites.split(",") if args.suites else None

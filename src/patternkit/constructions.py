@@ -193,6 +193,10 @@ class BiArrayFunctional:
 
     primary: tuple[tuple[int, int, frozenset[int]], ...] = ()
     secondary: tuple[tuple[int, int, int, frozenset[int]], ...] = ()
+    # per key, its (stage, set) entries in tuple order; built once, since
+    # the builders ask for the same keys at every stage
+    _by_n: dict = field(init=False, repr=False, compare=False)
+    _by_nm: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for n, _s, E in self.primary:
@@ -201,24 +205,34 @@ class BiArrayFunctional:
         for _n, m, _s, F in self.secondary:
             if F and min(F) <= m:
                 raise PatternError(f"secondary entry for (.,{m}) must have min > {m}")
+        by_n: dict[int, list] = {}
+        for n, s0, elems in self.primary:
+            by_n.setdefault(n, []).append((s0, elems))
+        by_nm: dict[tuple[int, int], list] = {}
+        for n, m, s0, elems in self.secondary:
+            by_nm.setdefault((n, m), []).append((s0, elems))
+        object.__setattr__(self, "_by_n", dict(sorted(by_n.items())))
+        object.__setattr__(self, "_by_nm", dict(sorted(by_nm.items())))
 
     def E(self, n: int, s: int) -> Optional[frozenset[int]]:
-        for nn, s0, elems in self.primary:
-            if nn == n and s0 <= s:
+        """The first entry for n, in tuple order, whose stage is <= s."""
+        for s0, elems in self._by_n.get(n, ()):
+            if s0 <= s:
                 return elems
         return None
 
     def F(self, n: int, m: int, s: int) -> Optional[frozenset[int]]:
-        for nn, mm, s0, elems in self.secondary:
-            if nn == n and mm == m and s0 <= s:
+        """The first entry for (n, m), in tuple order, whose stage is <= s."""
+        for s0, elems in self._by_nm.get((n, m), ()):
+            if s0 <= s:
                 return elems
         return None
 
     def primary_args(self) -> list[int]:
-        return sorted({n for n, _, _ in self.primary})
+        return list(self._by_n)
 
     def secondary_args(self) -> list[tuple[int, int]]:
-        return sorted({(n, m) for n, m, _, _ in self.secondary})
+        return list(self._by_nm)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +282,20 @@ def oldest_blocks(ages: dict[int, int], p: Pattern, rows: Sequence[int],
     if count * (p.size - 1) > len(ages):
         return None
     prows = minus(p).rows
+    # the unpicked elements of each age, in increasing order, oldest age first
+    by_age: dict[int, list[int]] = {}
+    for x in sorted(ages):
+        by_age.setdefault(ages[x], []).append(x)
+    by_age = dict(sorted(by_age.items(), reverse=True))
     blocks: list[list[int]] = []
-    remaining = sorted(ages)
     while len(blocks) < count:
         hit = None
-        for t in sorted({ages[x] for x in remaining}, reverse=True):
-            sub = [x for x in remaining if ages[x] >= t]
+        sub: list[int] = []  # the unpicked elements down to the age tried
+        for xs in by_age.values():
+            if not xs:
+                continue
+            sub += xs
+            sub.sort()
             hit = _kernels.lex_least_realizer(rows, sub, prows)
             if hit is not None:
                 break
@@ -281,7 +303,7 @@ def oldest_blocks(ages: dict[int, int], p: Pattern, rows: Sequence[int],
             return None
         blocks.append(hit)
         for x in hit:
-            remaining.remove(x)
+            by_age[ages[x]].remove(x)
     return blocks
 
 

@@ -327,7 +327,7 @@ def strongly_realizes(sc: StableColoring, F: Iterable[int], p: Pattern) -> bool:
     the last-column specification p(., |p|-1)."""
     if p.size < 2:
         raise PatternError("strong realization needs a pattern of size >= 2")
-    xs = sorted(F)
+    xs = sorted(set(F))
     if len(xs) != p.size - 1:
         raise PatternError(f"strong realization needs {p.size - 1} vertices, got {len(xs)}")
     if not realizes(sc.base, xs, minus(p)):

@@ -9,17 +9,20 @@ coloring appends a final line with one declared limit bit per vertex.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import FiniteColoring, Pattern, PatternError, StableColoring, parse_pattern
-from .constructions import (
-    ApproxOracle,
-    BiArrayFunctional,
-    ConstructionTrace,
-    PrefixFunctional,
-    TraceEvent,
-)
-from .stabilize import BinaryTree
+
+# the parsers that build these types import them when called, so reading a
+# coloring or a record loads neither the builders nor the stabilizer
+if TYPE_CHECKING:
+    from .constructions import (
+        ApproxOracle,
+        BiArrayFunctional,
+        ConstructionTrace,
+        PrefixFunctional,
+    )
+    from .stabilize import BinaryTree
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,8 @@ def format_tree(t: BinaryTree) -> str:
 
 
 def parse_tree(text: str) -> BinaryTree:
+    from .stabilize import BinaryTree
+
     nodes = {line.strip() for line in text.splitlines()}
     return BinaryTree(frozenset(nodes))
 
@@ -123,6 +128,8 @@ def format_approx_oracle(o: ApproxOracle) -> str:
 
 
 def parse_approx_oracle(text: str) -> ApproxOracle:
+    from .constructions import ApproxOracle
+
     entries = []
     for line in _content_lines(text):
         parts = line.split()
@@ -147,6 +154,8 @@ def format_measure_oracle(fns: list[PrefixFunctional], patterns: list[Pattern]) 
 
 
 def parse_measure_oracle(text: str) -> tuple[list[PrefixFunctional], list[Pattern]]:
+    from .constructions import PrefixFunctional
+
     fns: list[PrefixFunctional] = []
     patterns: list[Pattern] = []
     entries: list[tuple[str, int, frozenset[int]]] = []
@@ -185,6 +194,8 @@ def format_biarray_oracle(bs: list[BiArrayFunctional]) -> str:
 
 
 def parse_biarray_oracle(text: str) -> list[BiArrayFunctional]:
+    from .constructions import BiArrayFunctional
+
     out: list[BiArrayFunctional] = []
     primary: list = []
     secondary: list = []

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 import patternkit.constructions as constructions
+from patternkit import _kernels
 from patternkit.core import (
     FiniteColoring,
     PatternError,
     constant_coloring,
     find_realizer,
+    minus,
     parse_pattern,
     realizes,
     restrict,
@@ -38,6 +40,7 @@ from patternkit.constructions import (
     verify_trace,
 )
 from patternkit.io import parse_approx_oracle, parse_biarray_oracle, parse_measure_oracle
+from conftest import random_coloring
 
 
 def builder_digest(f, trace) -> tuple[int, str]:
@@ -100,6 +103,44 @@ def p1_by_selections(trace, f) -> bool:
         if not all(realizes(f, sel, pt) for sel in itertools.product(*state)):
             return False
     return True
+
+
+def oldest_blocks_rebuilt(ages, p, rows, count):
+    """oldest_blocks as it was before each age threshold's candidates grew
+    from the previous threshold's, kept as its oracle: every threshold
+    rebuilds its list from the elements not yet picked."""
+    if count < 1:
+        raise PatternError("block count must be >= 1")
+    if count * (p.size - 1) > len(ages):
+        return None
+    prows = minus(p).rows
+    blocks = []
+    remaining = sorted(ages)
+    while len(blocks) < count:
+        hit = None
+        for t in sorted({ages[x] for x in remaining}, reverse=True):
+            sub = [x for x in remaining if ages[x] >= t]
+            hit = _kernels.lex_least_realizer(rows, sub, prows)
+            if hit is not None:
+                break
+        if hit is None:
+            return None
+        blocks.append(hit)
+        for x in hit:
+            remaining.remove(x)
+    return blocks
+
+
+def biarray_lookups_by_scan(fn: BiArrayFunctional, n: int, m: int, s: int):
+    """E(n, s), F(n, m, s), primary_args() and secondary_args() by the
+    linear scans BiArrayFunctional made before it indexed its entries, kept
+    as their oracle: the first entry in tuple order with a matching key and
+    a stage <= s wins."""
+    e = next((elems for nn, s0, elems in fn.primary if nn == n and s0 <= s), None)
+    f = next((elems for nn, mm, s0, elems in fn.secondary
+              if nn == n and mm == m and s0 <= s), None)
+    return (e, f, sorted({nn for nn, _, _ in fn.primary}),
+            sorted({(nn, mm) for nn, mm, _, _ in fn.secondary}))
 
 
 def flip_pair(f: FiniteColoring, x: int, y: int) -> FiniteColoring:
@@ -262,6 +303,56 @@ class TestOldestBlocks:
         assert seen
         for s, ages in seen:
             assert ages == ages_at(o, e, s)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_rebuilt_candidate_lists(self, seed, monkeypatch):
+        # same blocks, and the same realizer searches on the same candidate
+        # lists in the same order, as the version that rebuilt every list
+        rng = random.Random(seed)
+        searched = []
+        search = _kernels.lex_least_realizer
+
+        def recording_search(rows, elems, prows, last=None):
+            searched[-1].append(list(elems))
+            return search(rows, elems, prows, last)
+
+        monkeypatch.setattr(_kernels, "lex_least_realizer", recording_search)
+        for _ in range(150):
+            window = rng.randint(6, 18)
+            rows = random_coloring(rng, window).rows
+            ages = {x: rng.randrange(4) for x in rng.sample(range(window), rng.randint(0, window))}
+            p = index_pattern(rng.randrange(74))  # sizes 2 to 4
+            count = rng.randint(1, 4)
+            searched.append([])
+            got = oldest_blocks(ages, p, rows, count)
+            searched.append([])
+            want = oldest_blocks_rebuilt(ages, p, rows, count)
+            assert got == want
+            assert searched[-2] == searched[-1]
+
+
+class TestBiArrayFunctional:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lookups_match_linear_scans(self, seed):
+        # keys repeat, with stages in any order, so the first matching entry
+        # in tuple order is often not the latest or the earliest one
+        rng = random.Random(seed)
+        for _ in range(40):
+            primary = tuple((n, rng.randrange(12), frozenset(rng.sample(range(n + 1, 12), 2)))
+                            for n in (rng.randrange(3) for _ in range(rng.randint(0, 8))))
+            secondary = tuple((n, m, rng.randrange(12),
+                               frozenset(rng.sample(range(m + 1, 12), 2)))
+                              for n, m in ((rng.randrange(3), rng.randrange(3))
+                                           for _ in range(rng.randint(0, 10))))
+            fn = BiArrayFunctional(primary, secondary)
+            for n, m, s in itertools.product(range(4), range(4), range(13)):
+                e, f, pargs, sargs = biarray_lookups_by_scan(fn, n, m, s)
+                assert fn.E(n, s) is e and fn.F(n, m, s) is f
+                assert fn.primary_args() == pargs and fn.secondary_args() == sargs
+            twin = BiArrayFunctional(primary, secondary)
+            assert twin == fn and hash(twin) == hash(fn) and repr(twin) == repr(fn)
+            assert repr(fn) == f"BiArrayFunctional(primary={primary!r}, secondary={secondary!r})"
 
 
 class TestDncBuilder:

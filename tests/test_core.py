@@ -245,6 +245,13 @@ class TestStableColorings:
         sc0 = StableColoring(constant_coloring(2), (0, 0))
         assert not strongly_realizes(sc0, {0}, parse_pattern("2:1"))
 
+    def test_strongly_realizes_counts_repeated_vertices_once(self):
+        sc = StableColoring(constant_coloring(4), (0,) * 4)
+        p = parse_pattern("3:000")
+        with pytest.raises(PatternError, match="strong realization needs 2 vertices, got 1"):
+            strongly_realizes(sc, [0, 0], p)
+        assert strongly_realizes(sc, [0, 1, 1, 0], p)
+
     def test_strongly_appears(self):
         sc = self._stable_instance()
         assert strongly_appears(sc, {0, 1, 2}, parse_pattern("3:010"))

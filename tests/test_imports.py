@@ -1,0 +1,149 @@
+"""The package's import footprint and its exports.
+
+`patternkit/__init__.py` loads a submodule only when one of its names is
+first read, and each CLI command imports only the modules it runs, so a cold
+start compiles and executes no module the command does not use.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import patternkit
+from patternkit.constructions import ApproxOracle
+from patternkit.core import constant_coloring
+from patternkit.io import format_approx_oracle, format_coloring
+
+SRC = str(Path(patternkit.__file__).parents[1])
+
+# every name `patternkit` exported before its submodules were loaded lazily,
+# with the submodule that defines it
+EXPORTS = {
+    "core": [
+        "Embedding", "FiniteColoring", "PartialColoring", "Pattern", "PatternError",
+        "StableColoring", "avoids", "coloring_from_function", "constant_coloring",
+        "dual", "embeddings", "find_realizer", "flip", "format_pattern",
+        "is_subpattern", "minus", "parse_pattern", "pattern_from_colors",
+        "realizes", "restrict", "strongly_appears", "strongly_realizes",
+    ],
+    "algebra": [
+        "ClassificationFlags", "classify", "decompositions", "is_divergent",
+        "is_i_merging", "is_irreducible", "is_merging", "join",
+    ],
+    "classifier": [
+        "Census", "CensusRow", "ClassificationReport", "census", "enumerate_patterns",
+        "preserves_omega_2dim", "preserves_omega_hyp", "preserves_one_2dim",
+        "report", "subpatterns",
+    ],
+    "stabilize": [
+        "BinaryTree", "Condition", "GreedySplit", "WindowExhausted",
+        "extend_condition", "fg_avoids", "find_stabilizing_tail", "full_binary_tree",
+        "greedy_avoid_join", "homogeneous_for_tree", "is_valid_condition",
+        "max_avoiding_subset", "stabilizes", "tree_to_coloring",
+    ],
+    "constructions": [
+        "ApproxOracle", "BiArrayFunctional", "ConstructionTrace", "PrefixFunctional",
+        "TraceEvent", "VerifyReport", "age", "build_dnc_coloring",
+        "build_measure_coloring", "build_stable_2dim_coloring", "cantor_pair",
+        "cantor_unpair", "cover_measure", "h_bound", "index_pattern",
+        "joint_meeting_measure", "oldest_blocks", "pattern_index",
+        "requires_attention_measure", "verify_trace",
+    ],
+    "forcing": [
+        "BoundedPredicate", "catalogue_predicate", "eval_question_disjunctive",
+        "eval_question_i", "eval_question_omega", "least_bound",
+    ],
+    "lemmas": ["SUITES", "SuiteResult", "run_suites"],
+}
+
+# what `import patternkit.cli` loads: the parser, patterns and the file formats
+STARTUP = {"patternkit", "patternkit.cli", "patternkit.core", "patternkit._kernels",
+           "patternkit.io"}
+
+LOADED = "sorted(m for m in sys.modules if m == 'patternkit' or m.startswith('patternkit.'))"
+
+
+def loaded_after(code: str) -> set[str]:
+    """The patternkit modules a fresh interpreter holds after running code,
+    which must not print to stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    script = f"import json, sys\n{code}\nprint(json.dumps({LOADED}))"
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import patternkit") == {"patternkit"}
+
+
+def test_cli_import_loads_only_core_and_io():
+    assert loaded_after("import patternkit.cli") == STARTUP
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["simulate", "dnc", "{oracle}", "--stages", "20"], {"constructions"}),
+    (["avoid-search", "{coloring}", "3:010"], {"stabilize", "algebra"}),
+    (["force-eval", "omega", "{coloring}", "3:111", "size>=3", "--bound", "4"],
+     {"forcing", "stabilize", "algebra"}),
+    (["census", "3"], {"classifier", "algebra"}),
+], ids=["simulate-dnc", "avoid-search", "force-eval", "census"])
+def test_command_loads_only_its_modules(tmp_path, argv, modules):
+    oracle = tmp_path / "oracle.txt"
+    oracle.write_text(format_approx_oracle(ApproxOracle(((0, 0, frozenset(range(8))),))))
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text(format_coloring(constant_coloring(8)))
+    argv = [a.format(oracle=oracle, coloring=coloring) for a in argv]
+    code = ("import contextlib, io\n"
+            "from patternkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert loaded_after(code) == STARTUP | {f"patternkit.{m}" for m in modules}
+
+
+def test_every_export_resolves_to_its_submodule_object():
+    names = {name: module for module, ns in EXPORTS.items() for name in ns}
+    assert sorted(patternkit.__all__) == sorted(names)
+    star: dict = {}
+    exec("from patternkit import *", star)
+    for name, module in names.items():
+        obj = getattr(importlib.import_module(f"patternkit.{module}"), name)
+        assert getattr(patternkit, name) is obj, name
+        assert star[name] is obj, name
+    assert set(names) <= set(dir(patternkit))
+
+
+def test_unknown_name_raises_attribute_error():
+    import patternkit.cli
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        patternkit.no_such_name
+    with pytest.raises(AttributeError):
+        patternkit.cli.no_such_name
+    with pytest.raises(ImportError):
+        exec("from patternkit import no_such_name", {})
+
+
+def test_names_are_read_through_on_every_access(monkeypatch):
+    # a tracer patches a submodule's attribute and restores it; the package
+    # and cli must answer with whatever the submodule holds at that moment
+    import patternkit.cli
+    import patternkit.constructions as constructions
+
+    original = constructions.build_dnc_coloring
+
+    def stand_in(*args):
+        return original(*args)
+
+    monkeypatch.setattr(constructions, "build_dnc_coloring", stand_in)
+    assert patternkit.build_dnc_coloring is stand_in
+    assert patternkit.cli.build_dnc_coloring is stand_in
+    monkeypatch.undo()
+    assert patternkit.build_dnc_coloring is original
+    assert patternkit.cli.build_dnc_coloring is original
