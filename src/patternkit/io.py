@@ -9,7 +9,7 @@ coloring appends a final line with one declared limit bit per vertex.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from .core import FiniteColoring, Pattern, PatternError, StableColoring, parse_pattern
 
@@ -153,33 +153,38 @@ def format_measure_oracle(fns: list[PrefixFunctional], patterns: list[Pattern]) 
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_measure_oracle(text: str) -> tuple[list[PrefixFunctional], list[Pattern]]:
-    from .constructions import PrefixFunctional
-
-    fns: list[PrefixFunctional] = []
-    patterns: list[Pattern] = []
-    entries: list[tuple[str, int, frozenset[int]]] = []
-    started = False
+def _functional_blocks(text: str, header: Optional[Callable[[str], object]],
+                       entry: Callable[[str, list[str]], tuple]) -> list[tuple]:
+    """Split an oracle file into its `functional` blocks, as (header value,
+    entries) pairs. With a `header` parser a header line is `functional FIELD`
+    and its value header(FIELD); without one it is `functional` alone and its
+    value None. entry(line, parts) parses each line after the header."""
+    blocks: list[tuple[object, list]] = []
     for line in _content_lines(text):
         parts = line.split()
         if parts[0] == "functional":
-            if started:
-                fns.append(PrefixFunctional(tuple(entries)))
-                entries = []
-            if len(parts) != 2:
+            if len(parts) != (1 if header is None else 2):
                 raise PatternError(f"bad functional header {line!r}")
-            patterns.append(parse_pattern(parts[1]))
-            started = True
+            blocks.append((None if header is None else header(parts[1]), []))
+        elif not blocks:
+            raise PatternError("entry before any functional header")
         else:
-            if not started:
-                raise PatternError("entry before any functional header")
-            if len(parts) != 3:
-                raise PatternError(f"bad prefix entry {line!r}")
-            tau = "" if parts[0] == "-" else parts[0]
-            entries.append((tau, *_integers(line, parts[1:2]), _parse_elems(parts[2])))
-    if started:
-        fns.append(PrefixFunctional(tuple(entries)))
-    return fns, patterns
+            blocks[-1][1].append(entry(line, parts))
+    return blocks
+
+
+def parse_measure_oracle(text: str) -> tuple[list[PrefixFunctional], list[Pattern]]:
+    from .constructions import PrefixFunctional
+
+    def entry(line: str, parts: list[str]):
+        if len(parts) != 3:
+            raise PatternError(f"bad prefix entry {line!r}")
+        tau = "" if parts[0] == "-" else parts[0]
+        return (tau, *_integers(line, parts[1:2]), _parse_elems(parts[2]))
+
+    blocks = _functional_blocks(text, parse_pattern, entry)
+    return ([PrefixFunctional(tuple(entries)) for _, entries in blocks],
+            [p for p, _ in blocks])
 
 
 def format_biarray_oracle(bs: list[BiArrayFunctional]) -> str:
@@ -196,28 +201,17 @@ def format_biarray_oracle(bs: list[BiArrayFunctional]) -> str:
 def parse_biarray_oracle(text: str) -> list[BiArrayFunctional]:
     from .constructions import BiArrayFunctional
 
-    out: list[BiArrayFunctional] = []
-    primary: list = []
-    secondary: list = []
-    started = False
-    for line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "functional":
-            if started:
-                out.append(BiArrayFunctional(tuple(primary), tuple(secondary)))
-                primary, secondary = [], []
-            started = True
-        elif parts[0] == "E" and len(parts) == 4:
-            primary.append((*_integers(line, parts[1:3]), _parse_elems(parts[3])))
-        elif parts[0] == "F" and len(parts) == 5:
-            secondary.append((*_integers(line, parts[1:4]), _parse_elems(parts[4])))
-        else:
-            raise PatternError(f"bad bi-array entry {line!r}")
-        if parts[0] in ("E", "F") and not started:
-            raise PatternError("entry before any functional header")
-    if started:
-        out.append(BiArrayFunctional(tuple(primary), tuple(secondary)))
-    return out
+    def entry(line: str, parts: list[str]):
+        if parts[0] == "E" and len(parts) == 4:
+            return (*_integers(line, parts[1:3]), _parse_elems(parts[3]))
+        if parts[0] == "F" and len(parts) == 5:
+            return (*_integers(line, parts[1:4]), _parse_elems(parts[4]))
+        raise PatternError(f"bad bi-array entry {line!r}")
+
+    # an E entry is (n, s0, elems), an F entry (n, m, s0, elems)
+    return [BiArrayFunctional(tuple(e for e in entries if len(e) == 3),
+                              tuple(e for e in entries if len(e) == 4))
+            for _, entries in _functional_blocks(text, None, entry)]
 
 
 # ---------------------------------------------------------------------------

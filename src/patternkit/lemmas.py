@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 from .core import (
@@ -77,74 +78,85 @@ def _recolored(rows: list[int], E, F, color) -> FiniteColoring:
     return FiniteColoring(len(rows), tuple(rows))
 
 
+def _sampled(name: str, count: int,
+             trial: Callable[[], Optional[list[str]]]) -> SuiteResult:
+    """Run `trial` until `count` of its draws are accepted, giving up after
+    ATTEMPTS_PER_RUN * count draws. A trial returns None for a rejected draw,
+    else the law's counterexamples on it (an empty list when the law holds)."""
+    bad, runs = [], 0
+    for _ in range(ATTEMPTS_PER_RUN * count):
+        if runs == count:
+            break
+        outcome = trial()
+        if outcome is not None:
+            runs += 1
+            bad.extend(outcome)
+    return SuiteResult(name, runs, tuple(bad[:5]), skipped=count == 0,
+                       exhausted=runs < count)
+
+
+def _swept(name: str, sizes: range,
+           failures: Callable[[Pattern], list[str]]) -> SuiteResult:
+    """Check failures(p) on every pattern p of the given sizes: a sampled suite
+    whose draws are the 2^C(n,2) patterns of each size n in turn, all accepted."""
+    patterns = chain.from_iterable(map(enumerate_patterns, sizes))
+    return _sampled(name, sum(2 ** (n * (n - 1) // 2) for n in sizes),
+                    lambda: failures(next(patterns)))
+
+
 def suite_join_associative(rng: random.Random, count: int = 10_000) -> SuiteResult:
     """(p ⊎ q) ⊎ r equals p ⊎ (q ⊎ r) for random triples."""
-    bad = []
-    for _ in range(count):
+    def trial():
         p, q, r = (_random_pattern(rng, 5) for _ in range(3))
-        if join(join(p, q), r) != join(p, join(q, r)):
-            bad.append(f"{p} {q} {r}")
-    return SuiteResult("join-associative", count, tuple(bad[:5]), skipped=count == 0)
+        return [] if join(join(p, q), r) == join(p, join(q, r)) else [f"{p} {q} {r}"]
+    return _sampled("join-associative", count, trial)
 
 
 def suite_join_divergence(rng: random.Random, count: int = 10_000) -> SuiteResult:
     """If either operand is divergent, so is the join."""
-    bad = []
-    for _ in range(count):
+    def trial():
         p, q = _random_pattern(rng, 5), _random_pattern(rng, 5)
-        if (is_divergent(p) or is_divergent(q)) and not is_divergent(join(p, q)):
-            bad.append(f"{p} {q}")
-    return SuiteResult("join-divergence", count, tuple(bad[:5]), skipped=count == 0)
+        holds = not (is_divergent(p) or is_divergent(q)) or is_divergent(join(p, q))
+        return [] if holds else [f"{p} {q}"]
+    return _sampled("join-divergence", count, trial)
 
 
 def suite_default_merging(max_size: int = 6) -> SuiteResult:
     """Every pattern merges for the complement of its first limit color and
     for its last limit color; exhaustive over small sizes."""
-    bad, runs = [], 0
-    for size in range(2, max_size + 1):
-        for p in enumerate_patterns(size):
-            runs += 1
-            if not is_i_merging(p, 1 - p(0, size - 1)):
-                bad.append(f"{p} color {1 - p(0, size - 1)}")
-            if not is_i_merging(p, p(size - 2, size - 1)):
-                bad.append(f"{p} color {p(size - 2, size - 1)}")
-    return SuiteResult("default-merging", runs, tuple(bad[:5]))
+    def failures(p):
+        n = p.size
+        return [f"{p} color {i}" for i in (1 - p(0, n - 1), p(n - 2, n - 1))
+                if not is_i_merging(p, i)]
+    return _swept("default-merging", range(2, max_size + 1), failures)
 
 
 def suite_convergent_merging(max_size: int = 6) -> SuiteResult:
     """Convergent patterns of size >= 3 are merging; exhaustive."""
-    bad, runs = [], 0
-    for size in range(3, max_size + 1):
-        for p in enumerate_patterns(size):
-            runs += 1
-            if not is_divergent(p) and not (is_i_merging(p, 0) and is_i_merging(p, 1)):
-                bad.append(str(p))
-    return SuiteResult("convergent-merging", runs, tuple(bad[:5]))
+    def failures(p):
+        holds = is_divergent(p) or (is_i_merging(p, 0) and is_i_merging(p, 1))
+        return [] if holds else [str(p)]
+    return _swept("convergent-merging", range(3, max_size + 1), failures)
 
 
 def suite_irreducibility_criterion(max_size: int = 5) -> SuiteResult:
     """Split-criterion irreducibility agrees with the definition (no
     decomposition into a join); exhaustive."""
-    bad, runs = [], 0
-    for size in range(1, max_size + 1):
-        for p in enumerate_patterns(size):
-            runs += 1
-            if is_irreducible(p) == bool(decompositions(p)):
-                bad.append(str(p))
-    return SuiteResult("irreducibility-criterion", runs, tuple(bad[:5]))
+    def failures(p):
+        return [str(p)] if is_irreducible(p) == bool(decompositions(p)) else []
+    return _swept("irreducibility-criterion", range(1, max_size + 1), failures)
 
 
 def suite_duality(rng: random.Random, count: int = 2_000) -> SuiteResult:
-    """Avoidance is invariant under simultaneously flipping coloring and pattern."""
-    bad = []
-    for _ in range(count):
+    """Avoidance is invariant under simultaneously flipping coloring and
+    pattern; at most 2,000 runs, whatever `count` asks for."""
+    def trial():
         window = rng.randint(3, 9)
         f = coloring_from_function(window, lambda x, y: _coin(rng))
         p = _random_pattern(rng, 4)
         H = [x for x in range(window) if rng.random() < 0.7]
-        if avoids(f, H, p) != avoids(flip(f), H, dual(p)):
-            bad.append(f"{p} H={H}")
-    return SuiteResult("duality", count, tuple(bad[:5]), skipped=count == 0)
+        return [] if avoids(f, H, p) == avoids(flip(f), H, dual(p)) else [f"{p} H={H}"]
+    return _sampled("duality", min(count, 2_000), trial)
 
 
 def _stabilized_instance(rng: random.Random, max_window: int = 10,
@@ -163,39 +175,28 @@ def suite_stabilized_avoidance_equivalence(rng: random.Random,
                                            count: int = 10_000) -> SuiteResult:
     """With F stabilizing E under g: E is witnessed-avoiding for p exactly
     when E plus any single element of F still avoids p."""
-    bad, runs = [], 0
-    for _ in range(ATTEMPTS_PER_RUN * count):
-        if runs == count:
-            break
+    def trial():
         f, g, E, F, p = _stabilized_instance(rng)
         if not F:
-            continue
-        runs += 1
+            return None
         lhs = fg_avoids(f, g, E, p)
         rhs = all(avoids(f, sorted(set(E) | {y}), p) for y in F)
-        if lhs != rhs:
-            bad.append(f"{p} E={E} F={F}")
-    return SuiteResult("stabilized-avoidance-equivalence", runs, tuple(bad[:5]),
-                       skipped=count == 0, exhausted=runs < count)
+        return [] if lhs == rhs else [f"{p} E={E} F={F}"]
+    return _sampled("stabilized-avoidance-equivalence", count, trial)
 
 
 def suite_avoidance_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
     """Irreducible p: if F stabilizes E under g and both sides are
     witnessed-avoiding, so is their union."""
-    bad, runs = [], 0
-    for _ in range(ATTEMPTS_PER_RUN * count):
-        if runs == count:
-            break
+    def trial():
         f, g, E, F, p = _stabilized_instance(rng)
         if p.size < 3 or not is_irreducible(p):
-            continue
+            return None
         if not (fg_avoids(f, g, E, p) and fg_avoids(f, g, F, p)):
-            continue
-        runs += 1
-        if not fg_avoids(f, g, sorted(set(E) | set(F)), p):
-            bad.append(f"{p} E={E} F={F}")
-    return SuiteResult("avoidance-union", runs, tuple(bad[:5]), skipped=count == 0,
-                       exhausted=runs < count)
+            return None
+        union = sorted(set(E) | set(F))
+        return [] if fg_avoids(f, g, union, p) else [f"{p} E={E} F={F}"]
+    return _sampled("avoidance-union", count, trial)
 
 
 def _merging_pool(max_size: int = 4) -> dict[int, list[Pattern]]:
@@ -215,10 +216,8 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
     opposite color, with constant cross colors and a p-avoiding union, yields
     a witnessed-avoiding union."""
     pool = _merging_pool()
-    bad, runs = [], 0
-    for _ in range(ATTEMPTS_PER_RUN * count):
-        if runs == count:
-            break
+
+    def trial():
         i = _coin(rng)
         p = rng.choice(pool[i])
         window = rng.randint(4, 10)
@@ -232,25 +231,22 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
         f = _recolored(rows, E, F, lambda x: cross)
         union = sorted(set(E) | set(F))
         if not avoids(f, union, p):
-            continue
-        runs += 1
-        if not fg_avoids(f, g, union, p):
-            bad.append(f"{p} i={i} E={E} F={F} cross={cross}")
-    return SuiteResult("merging-union", runs, tuple(bad[:5]), skipped=count == 0,
-                       exhausted=runs < count)
+            return None
+        return ([] if fg_avoids(f, g, union, p)
+                else [f"{p} i={i} E={E} F={F} cross={cross}"])
+    return _sampled("merging-union", count, trial)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {
-    "join-associative": lambda rng, count: suite_join_associative(rng, count),
-    "join-divergence": lambda rng, count: suite_join_divergence(rng, count),
+    "join-associative": suite_join_associative,
+    "join-divergence": suite_join_divergence,
     "default-merging": lambda rng, count: suite_default_merging(),
     "convergent-merging": lambda rng, count: suite_convergent_merging(),
     "irreducibility-criterion": lambda rng, count: suite_irreducibility_criterion(),
-    "duality": lambda rng, count: suite_duality(rng, min(count, 2_000)),
-    "stabilized-avoidance-equivalence":
-        lambda rng, count: suite_stabilized_avoidance_equivalence(rng, count),
-    "avoidance-union": lambda rng, count: suite_avoidance_union(rng, count),
-    "merging-union": lambda rng, count: suite_merging_union(rng, count),
+    "duality": suite_duality,
+    "stabilized-avoidance-equivalence": suite_stabilized_avoidance_equivalence,
+    "avoidance-union": suite_avoidance_union,
+    "merging-union": suite_merging_union,
 }
 
 

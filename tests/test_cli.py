@@ -289,6 +289,16 @@ class TestInputErrors:
         err = self.assert_user_error(capsys, "simulate", kind, str(path), "--stages", "5")
         assert repr(line) in err
 
+    @pytest.mark.parametrize("kind, text", [
+        ("measure", "functional 3:010 extra\n- 1 1\n"),
+        ("stable2dim", "functional junk here\nE 0 1 1\n"),
+    ], ids=["measure", "stable2dim"])
+    def test_functional_header_with_extra_fields(self, capsys, tmp_path, kind, text):
+        path = tmp_path / "oracle.txt"
+        path.write_text(text)
+        err = self.assert_user_error(capsys, "simulate", kind, str(path), "--stages", "5")
+        assert repr(text.splitlines()[0]) in err
+
     def test_negative_count(self, capsys):
         self.assert_user_error(capsys, "verify-lemmas", "--count", "-3")
 

@@ -111,6 +111,30 @@ class TestOracleFiles:
         with pytest.raises(PatternError):
             parse_measure_oracle("- 3 1,2\n")
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_biarray_oracle, "functional junk here\n", "bad functional header"),
+        (parse_biarray_oracle, "functional\nfunctional x\n", "bad functional header"),
+        (parse_measure_oracle, "functional\n", "bad functional header"),
+        (parse_measure_oracle, "functional 3:010 extra\n", "bad functional header"),
+        (parse_biarray_oracle, "E 0 1 1\n", "entry before any functional header"),
+    ])
+    def test_headers_checked_alike(self, parse, text, message):
+        with pytest.raises(PatternError, match=message):
+            parse(text)
+
+    def test_entries_keep_their_blocks_and_order(self):
+        bs = parse_biarray_oracle("# c\nfunctional\nF 0 1 2 3\nE 4 5 6\nE 7 8 9\n"
+                                  "functional\nfunctional\nF 1 2 3 -\n")
+        assert [(b.primary, b.secondary) for b in bs] == [
+            (((4, 5, frozenset({6})), (7, 8, frozenset({9}))),
+             ((0, 1, 2, frozenset({3})),)),
+            ((), ()),
+            ((), ((1, 2, 3, frozenset()),)),
+        ]
+        fns, ps = parse_measure_oracle("functional 2:0\n01 1 2\nfunctional 3:010\n")
+        assert ps == [parse_pattern("2:0"), parse_pattern("3:010")]
+        assert [fn.entries for fn in fns] == [(("01", 1, frozenset({2})),), ()]
+
     def test_bad_entries_rejected(self):
         with pytest.raises(PatternError):
             parse_approx_oracle("0 3\n")

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import zlib
 
 import pytest
 
@@ -49,6 +51,61 @@ class TestSuites:
                             lambda p, i: False if p.size == 4 else real(p, i))
         result = lemmas.suite_default_merging(max_size=4)
         assert not result.passed
+
+
+# sha256 of the (SuiteResult, rng.getstate()) reprs for seeds 0, 3, 11 and
+# counts 0, 1, 50, 300 in that order, computed before the suites shared one
+# sampling loop; a change in draw order or in any result changes these
+STREAM_DIGESTS = {
+    "join-associative": "d427e97f85931dd4",
+    "join-divergence": "ac239aa51937d4ed",
+    "default-merging": "18a3198b58e3f1c5",
+    "convergent-merging": "2299d396f37e0a88",
+    "irreducibility-criterion": "effaf63c5d0a389f",
+    "duality": "4f803254629630a8",
+    "stabilized-avoidance-equivalence": "c38c4a441b0a0eb0",
+    "avoidance-union": "6ed5112dd45086ad",
+    "merging-union": "852e5fbf56c56539",
+}
+
+
+class TestStream:
+    def test_every_suite_is_pinned(self):
+        assert list(STREAM_DIGESTS) == list(SUITES)
+
+    @pytest.mark.parametrize("name", list(STREAM_DIGESTS))
+    def test_results_and_generator_state_pinned(self, name):
+        h = hashlib.sha256()
+        for seed in (0, 3, 11):
+            for count in (0, 1, 50, 300):
+                rng = random.Random(seed ^ zlib.crc32(name.encode()))
+                result = SUITES[name](rng, count)
+                h.update(repr((result, rng.getstate())).encode())
+        assert h.hexdigest()[:16] == STREAM_DIGESTS[name]
+
+
+class TestCounterexampleLimit:
+    def test_sampled_suite_keeps_five(self, monkeypatch):
+        # every accepted draw fails; merging-union still rejects draws whose
+        # union does not avoid p
+        monkeypatch.setattr(lemmas, "fg_avoids", lambda f, g, H, p: False)
+        result = lemmas.suite_merging_union(random.Random(0), 40)
+        assert result.runs == 40 and not result.exhausted
+        assert len(result.counterexamples) == 5 and not result.passed
+
+    def test_sweep_keeps_five(self, monkeypatch):
+        # two counterexamples for each of the 33,866 patterns of sizes 2-6
+        monkeypatch.setattr(lemmas, "is_i_merging", lambda p, i: False)
+        result = lemmas.suite_default_merging()
+        assert result.runs == 33_866
+        assert result.counterexamples == ("2:0 color 1", "2:0 color 0",
+                                          "2:1 color 0", "2:1 color 1",
+                                          "3:000 color 1")
+
+
+class TestDuality:
+    def test_at_most_2000_runs(self):
+        assert lemmas.suite_duality(random.Random(0), 2_001).runs == 2_000
 
 
 class TestCoin:
