@@ -7,6 +7,8 @@ divergence and the merging predicates all quantify over contiguous splits
 of the vertex line, which is enough because a join seam is always
 contiguous.  Everything here reads patterns through their row masks
 (`Pattern.rows`), so each split costs one mask comparison per vertex.
+Irreducibility tests every split; i-merging tests at most one, the split
+whose left part is the set of vertices the last column colours i.
 """
 
 from __future__ import annotations
@@ -64,14 +66,16 @@ def is_i_merging(p: Pattern, i: int) -> bool:
     if i not in (0, 1):
         raise PatternError("merging color must be 0 or 1")
     # a split F = [0,k), G = [k,l-1) refutes i-merging when the last column
-    # is i on F and 1-i on G, and every F-G pair has one color
-    rows = p.rows
-    for k in range(1, p.size - 1):
-        F = (1 << k) - 1
-        G = (1 << p.size - 1) - 1 - F
-        if rows[-1] == (F if i else G) and {r & G for r in rows[:k]} in ({0}, {G}):
-            return False
-    return True
+    # is i on F and 1-i on G, and every F-G pair has one color; the last
+    # column fixes F, so at most one split can refute
+    rows, l = p.rows, p.size
+    below = (1 << l - 1) - 1  # every vertex but the last
+    F = rows[-1] if i else rows[-1] ^ below
+    k = F.bit_length()
+    if F != (1 << k) - 1 or not 1 <= k <= l - 2:
+        return True
+    G = below ^ F
+    return {r & G for r in rows[:k]} not in ({0}, {G})
 
 
 def is_merging(p: Pattern) -> bool:

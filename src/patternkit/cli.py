@@ -302,8 +302,11 @@ def cmd_verify_lemmas(args) -> int:
 
     if args.count < 0:
         raise PatternError(f"--count must be nonnegative, got {args.count}")
-    names = args.suites.split(",") if args.suites else None
-    if names:
+    names = args.suites.split(",") if args.suites is not None else None
+    if names is not None:
+        if "" in names:
+            raise PatternError(f"empty entry {names.index('') + 1} in --suites "
+                               f"{args.suites!r}")
         unknown = [n for n in names if n not in SUITES]
         if unknown:
             raise PatternError(f"unknown suites: {', '.join(unknown)}")
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted runs for each of the six sampled suites (duality "
                          "stops at 2,000); the three sweeps always check 33,866 / "
                          "33,864 / 1,099 patterns (default: %(default)s)")
-    sp.add_argument("--suites", default="", help="comma-separated suite names")
+    sp.add_argument("--suites", help="comma-separated suite names (default: all nine)")
     sp.set_defaults(fn=cmd_verify_lemmas)
 
     return ap

@@ -96,10 +96,10 @@ def parse_pattern(text: str) -> Pattern:
     head, sep, bits = text.partition(":")
     if not sep:
         raise PatternError(f"expected 'l:bits', got {text!r}")
-    try:
-        size = int(head)
-    except ValueError:
-        raise PatternError(f"bad pattern size {head!r}") from None
+    # int() would also take a sign, underscores, spaces and non-ASCII digits
+    if not (head.isascii() and head.isdigit()):
+        raise PatternError(f"bad pattern size {head!r}")
+    size = int(head)
     if size < 1:
         raise PatternError(f"pattern size must be >= 1, got {size}")
     want = size * (size - 1) // 2
@@ -174,13 +174,17 @@ class FiniteColoring:
         return self.rows[x] >> y & 1
 
 
+def _coloring(window: int, rows: tuple[int, ...]) -> FiniteColoring:
+    """The coloring with rows known to be symmetric masks below 2^window with
+    no diagonal bit; skips the checks."""
+    f = object.__new__(FiniteColoring)
+    object.__setattr__(f, "window", window)
+    object.__setattr__(f, "rows", rows)
+    return f
+
+
 def coloring_from_function(window: int, colors) -> FiniteColoring:
     """Calls colors(x, y) once per pair x < y, in lexicographic order."""
-    return FiniteColoring(window, tuple(_rows_from_function(window, colors)))
-
-
-def _rows_from_function(window: int, colors) -> list[int]:
-    """The rows of coloring_from_function(window, colors), not yet validated."""
     rows = [0] * window
     for x, y in itertools.combinations(range(window), 2):
         c = colors(x, y)
@@ -188,7 +192,7 @@ def _rows_from_function(window: int, colors) -> list[int]:
             raise PatternError("pair colors must be 0 or 1")
         rows[x] |= c << y
         rows[y] |= c << x
-    return rows
+    return FiniteColoring(window, tuple(rows))
 
 
 def constant_coloring(window: int, color: int = 0) -> FiniteColoring:
@@ -198,7 +202,7 @@ def constant_coloring(window: int, color: int = 0) -> FiniteColoring:
 def flip(f: FiniteColoring) -> FiniteColoring:
     """Invert the color of every edge of the window."""
     full = (1 << f.window) - 1
-    return FiniteColoring(f.window, tuple(r ^ full ^ 1 << x for x, r in enumerate(f.rows)))
+    return _coloring(f.window, tuple(r ^ full ^ 1 << x for x, r in enumerate(f.rows)))
 
 
 @dataclass(frozen=True)

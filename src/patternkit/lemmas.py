@@ -18,9 +18,9 @@ from .core import (
     FiniteColoring,
     PartialColoring,
     Pattern,
-    _rows_from_function,
+    _coded,
+    _coloring,
     avoids,
-    coloring_from_function,
     dual,
     flip,
 )
@@ -63,19 +63,37 @@ def _coin(rng: random.Random) -> int:
 
 
 def _random_pattern(rng: random.Random, max_size: int, min_size: int = 2) -> Pattern:
+    """A uniform size, then one coin per pair, first pair first."""
     size = rng.randint(min_size, max_size)
-    npairs = size * (size - 1) // 2
-    return Pattern(size, tuple(_coin(rng) for _ in range(npairs)))
+    code = 0
+    for _ in range(size * (size - 1) // 2):
+        code = code << 1 | _coin(rng)
+    return _coded(size, code)
+
+
+def _random_rows(rng: random.Random, window: int) -> list[int]:
+    """The rows of a coloring with one coin per pair x < y, drawn in
+    lexicographic order."""
+    rows = [0] * window
+    for x in range(window):
+        row, bit = 0, 1 << x
+        for y in range(x + 1, window):
+            if _coin(rng):
+                row |= 1 << y
+                rows[y] |= bit
+        rows[x] |= row
+    return rows
 
 
 def _recolored(rows: list[int], E, F, color) -> FiniteColoring:
-    """rows, with each pair (x in E, y in F) recolored color(x) in place, as a coloring."""
+    """rows, with each pair (x in E, y in F) recolored color(x) in place, as a
+    coloring built without FiniteColoring's checks: symmetric rows stay so."""
     for x in E:
         for y in F:
             if rows[x] >> y & 1 != color(x):
                 rows[x] ^= 1 << y
                 rows[y] ^= 1 << x
-    return FiniteColoring(len(rows), tuple(rows))
+    return _coloring(len(rows), tuple(rows))
 
 
 def _sampled(name: str, count: int,
@@ -125,8 +143,8 @@ def suite_default_merging(max_size: int = 6) -> SuiteResult:
     """Every pattern merges for the complement of its first limit color and
     for its last limit color; exhaustive over small sizes."""
     def failures(p):
-        n = p.size
-        return [f"{p} color {i}" for i in (1 - p(0, n - 1), p(n - 2, n - 1))
+        last = p.rows[-1]  # bit x: the color of (x, l-1)
+        return [f"{p} color {i}" for i in (1 - (last & 1), last >> p.size - 2 & 1)
                 if not is_i_merging(p, i)]
     return _swept("default-merging", range(2, max_size + 1), failures)
 
@@ -152,7 +170,7 @@ def suite_duality(rng: random.Random, count: int = 2_000) -> SuiteResult:
     pattern; at most 2,000 runs, whatever `count` asks for."""
     def trial():
         window = rng.randint(3, 9)
-        f = coloring_from_function(window, lambda x, y: _coin(rng))
+        f = _coloring(window, tuple(_random_rows(rng, window)))
         p = _random_pattern(rng, 4)
         H = [x for x in range(window) if rng.random() < 0.7]
         return [] if avoids(f, H, p) == avoids(flip(f), H, dual(p)) else [f"{p} H={H}"]
@@ -163,7 +181,7 @@ def _stabilized_instance(rng: random.Random, max_window: int = 10,
                          max_pattern: int = 4):
     """Random (f, g, E, F, p) with F stabilizing E under witness g."""
     window = rng.randint(4, max_window)
-    rows = _rows_from_function(window, lambda x, y: _coin(rng))
+    rows = _random_rows(rng, window)
     split = rng.randint(1, window - 1)
     E = sorted(x for x in range(split) if rng.random() < 0.7)
     F = sorted(y for y in range(split, window) if rng.random() < 0.7)
@@ -221,7 +239,7 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
         i = _coin(rng)
         p = rng.choice(pool[i])
         window = rng.randint(4, 10)
-        rows = _rows_from_function(window, lambda x, y: _coin(rng))
+        rows = _random_rows(rng, window)
         split = rng.randint(1, window - 1)
         E = sorted(x for x in range(split) if rng.random() < 0.6)
         F = sorted(y for y in range(split, window) if rng.random() < 0.6)

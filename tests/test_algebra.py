@@ -1,6 +1,15 @@
 import random
 
-from patternkit.core import Pattern, dual, parse_pattern
+import pytest
+
+from patternkit.core import (
+    Pattern,
+    PatternError,
+    _coded,
+    dual,
+    parse_pattern,
+    pattern_from_colors,
+)
 from patternkit.algebra import (
     classify,
     decompositions,
@@ -146,6 +155,53 @@ class TestMerging:
             for p in enumerate_patterns(size):
                 if not is_divergent(p):
                     assert is_merging(p), p
+
+
+def _split_loop_merging(p, i):
+    # every contiguous split F = [0,k), G = [k,l-1) in turn
+    rows = p.rows
+    for k in range(1, p.size - 1):
+        F = (1 << k) - 1
+        G = (1 << p.size - 1) - 1 - F
+        if rows[-1] == (F if i else G) and {r & G for r in rows[:k]} in ({0}, {G}):
+            return False
+    return True
+
+
+class TestOneSplitMerging:
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_agrees_with_split_loop_exhaustively(self, size):
+        for p in enumerate_patterns(size):
+            for i in (0, 1):
+                assert is_i_merging(p, i) == _split_loop_merging(p, i), (p, i)
+
+    @pytest.mark.parametrize("size", range(7, 13))
+    def test_agrees_with_split_loop_seeded(self, size):
+        rng = random.Random(size)
+        n = size * (size - 1) // 2
+        patterns = [_coded(size, rng.getrandbits(n)) for _ in range(300)]
+        # plant the refuting shape: the last column one color on [0,k) and the
+        # other on [k,l-1), with the pairs across the split constant or not
+        for k in range(1, size - 1):
+            for first in (0, 1):
+                for cross in (0, 1, None):
+                    def color(x, y):
+                        if y == size - 1:
+                            return first if x < k else 1 - first
+                        if x < k <= y and cross is not None:
+                            return cross
+                        return rng.getrandbits(1)
+                    patterns.append(pattern_from_colors(size, color))
+        for p in patterns:
+            for i in (0, 1):
+                assert is_i_merging(p, i) == _split_loop_merging(p, i), (p, i)
+        assert not all(is_i_merging(p, i) for p in patterns for i in (0, 1))
+
+    @pytest.mark.parametrize("text", ["1:", "2:0", "3:010", "5:0111000101"])
+    @pytest.mark.parametrize("color", [-1, 2, None])
+    def test_bad_color_raises(self, text, color):
+        with pytest.raises(PatternError):
+            is_i_merging(parse_pattern(text), color)
 
 
 class TestClassify:

@@ -242,6 +242,18 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize("text", ["+3:010", "0_3:010", " 3:010", "3 :010", "\u0663:010"])
+    def test_pattern_size_ascii_digits_only(self, capsys, text):
+        err = self.assert_user_error(capsys, "classify", text)
+        assert repr(text.partition(":")[0]) in err
+
+    @pytest.mark.parametrize("suites, entry", [("", 1), ("duality,", 2), (",duality", 1),
+                                               ("duality,,join-divergence", 2)])
+    def test_empty_suite_entry(self, capsys, suites, entry):
+        err = self.assert_user_error(capsys, "verify-lemmas", "--count", "1",
+                                     "--suites", suites)
+        assert f"empty entry {entry} in --suites {suites!r}" in err
+
     def test_missing_input_files(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.txt")
         self.assert_user_error(capsys, "avoid-search", missing, "2:0")

@@ -6,7 +6,15 @@ import pytest
 
 import patternkit.lemmas as lemmas
 from patternkit.cli import main
-from patternkit.core import PartialColoring, constant_coloring, parse_pattern
+from patternkit.core import (
+    FiniteColoring,
+    PartialColoring,
+    Pattern,
+    coloring_from_function,
+    constant_coloring,
+    flip,
+    parse_pattern,
+)
 from patternkit.io import parse_record
 from patternkit.lemmas import SUITES, run_suites
 
@@ -115,6 +123,39 @@ class TestCoin:
         assert [lemmas._coin(a) for _ in range(10**5)] == \
             [b.randint(0, 1) for _ in range(10**5)]
         assert a.getstate() == b.getstate()
+
+
+class TestDraws:
+    """The suites' draw helpers against references that make one `_coin` call
+    per pair: the same values and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_random_rows(self, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        for window in range(13):
+            want = coloring_from_function(window, lambda x, y: lemmas._coin(b))
+            assert tuple(lemmas._random_rows(a, window)) == want.rows
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_random_pattern(self, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        for max_size in range(1, 13):
+            for min_size in range(1, max_size + 1):
+                size = b.randint(min_size, max_size)
+                want = Pattern(size, tuple(lemmas._coin(b)
+                                           for _ in range(size * (size - 1) // 2)))
+                got = lemmas._random_pattern(a, max_size, min_size)
+                assert got == want and got.rows == want.rows
+                assert a.getstate() == b.getstate()
+
+    def test_drawn_colorings_pass_the_checks(self):
+        # the suites build their colorings without FiniteColoring's checks
+        rng = random.Random(11)
+        for _ in range(500):
+            f, g, E, F, p = lemmas._stabilized_instance(rng)
+            for h in (f, flip(f), lemmas._recolored(list(f.rows), E, F, lambda x: 1)):
+                assert FiniteColoring(h.window, h.rows) == h
 
 
 def _never_stabilized(rng):

@@ -16,6 +16,7 @@ from patternkit.algebra import (
     is_irreducible,
     join,
 )
+from patternkit._kernels import _SLICED_MAX_SIZE, _pattern_matrix
 from patternkit.classifier import enumerate_patterns, subpatterns
 from patternkit.constructions import index_pattern, pattern_index
 from patternkit.core import (
@@ -146,6 +147,32 @@ def test_color_bits_and_rows():
             assert p(x, y) == ref_color(r, x, y)
         assert p.rows == tuple(sum(ref_color(r, x, y) << y for y in range(r[0]) if y != x)
                                for x in range(r[0]))
+
+
+def pair_rows(size, code):
+    # the rows one pair at a time, first pair the top code bit
+    rows = [0] * size
+    k = size * (size - 1) // 2
+    for x, y in itertools.combinations(range(size), 2):
+        k -= 1
+        if code >> k & 1:
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_slice_table_rows_every_code(size):
+    for code in range(1 << size * (size - 1) // 2):
+        assert _pattern_matrix.__wrapped__(size, code) == pair_rows(size, code)
+
+
+@pytest.mark.parametrize("size", [*range(7, 13), 30, _SLICED_MAX_SIZE, _SLICED_MAX_SIZE + 1])
+def test_slice_table_rows_seeded_codes(size):
+    rng = random.Random(size)
+    n = size * (size - 1) // 2
+    for code in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(300))):
+        assert _pattern_matrix.__wrapped__(size, code) == pair_rows(size, code)
 
 
 def test_equality_hash_and_order():
