@@ -27,7 +27,7 @@ _EXPORTS = {
         "is_i_merging", "is_irreducible", "is_merging", "join",
     ),
     "classifier": (
-        "Census", "CensusRow", "ClassificationReport", "census", "enumerate_patterns",
+        "CensusRow", "ClassificationReport", "census", "enumerate_patterns",
         "preserves_omega_2dim", "preserves_omega_hyp", "preserves_one_2dim",
         "report", "subpatterns",
     ),

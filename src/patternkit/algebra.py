@@ -102,7 +102,7 @@ class ClassificationFlags:
         return self.merging0 and self.merging1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def classify(p: Pattern) -> ClassificationFlags:
     return ClassificationFlags(
         divergent=is_divergent(p),

@@ -1,4 +1,4 @@
-"""Sub-pattern enumeration, preservation verdicts, and census tables.
+"""Sub-pattern enumeration, preservation verdicts, and the census.
 
 The three verdicts correspond to successively stronger demands on the
 order-preserving sub-patterns of p:
@@ -11,7 +11,7 @@ order-preserving sub-patterns of p:
 All three are read off p's least witness of each kind in (size, code) order.
 Every proper order-preserving sub-pattern of p lies in a one-vertex deletion
 of p, so each witness is the least of the deletions' witnesses, or p itself
-when p qualifies and no deletion has one; `census` shares one memo per size.
+when p qualifies and no deletion has one; `census` shares one memo per walk.
 
 The sub-pattern enumeration supports two modes: monotone (order-preserving
 embeddings, i.e. induced restrictions) and injective (arbitrary injections,
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from .core import Pattern, PatternError, _coded, _gather, format_pattern, vertex_maps
 from .algebra import ClassificationFlags, classify
@@ -61,16 +62,18 @@ def _least_witnesses(p: Pattern, memo: dict[Pattern, dict[str, Pattern]]) -> dic
     """The least order-preserving sub-pattern of p, in (size, code) order,
     for each witness kind it has: divergent and irreducible ("omega_hyp"),
     and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
-    "one_2dim_1merging", "omega_2dim").  memo holds the patterns decided so far."""
-    found = memo.get(p)
-    if found is not None:
-        return found
-    found = {}
+    "one_2dim_1merging", "omega_2dim").  memo holds the witnesses of the
+    deletions decided so far, at every depth; p's own are not added, so a
+    census's memo holds only patterns smaller than its size."""
+    found: dict[str, Pattern] = {}
     if p.size > 1:
         rows = p.rows
         for v in range(p.size):
             d = _coded(p.size - 1, _gather(rows, [x for x in range(p.size) if x != v]))
-            for key, q in _least_witnesses(d, memo).items():
+            w = memo.get(d)
+            if w is None:
+                w = memo[d] = _least_witnesses(d, memo)
+            for key, q in w.items():
                 found[key] = min(found.get(key, q), q)
     fl = classify(p)
     if fl.divergent and fl.irreducible:
@@ -80,7 +83,6 @@ def _least_witnesses(p: Pattern, memo: dict[Pattern, dict[str, Pattern]]) -> dic
                            ("omega_2dim", fl.merging)):
             if holds:
                 found.setdefault(key, p)
-    memo[p] = found
     return found
 
 
@@ -135,44 +137,17 @@ class CensusRow:
     omega_2dim: bool
 
 
-@dataclass(frozen=True)
-class Census:
-    size: int
-    rows: tuple[CensusRow, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.rows)
-
-    def count(self, predicate) -> int:
-        return sum(1 for r in self.rows if predicate(r))
-
-    def flag_combo_counts(self) -> dict[tuple[bool, bool, bool, bool], int]:
-        """Counts keyed by (divergent, irreducible, merging0, merging1)."""
-        out: dict[tuple[bool, bool, bool, bool], int] = {}
-        for r in self.rows:
-            key = (r.flags.divergent, r.flags.irreducible,
-                   r.flags.merging0, r.flags.merging1)
-            out[key] = out.get(key, 0) + 1
-        return dict(sorted(out.items()))
-
-    def verdict_counts(self) -> dict[str, int]:
-        return {
-            "omega_hyp": self.count(lambda r: r.omega_hyp),
-            "one_2dim": self.count(lambda r: r.one_2dim),
-            "omega_2dim": self.count(lambda r: r.omega_2dim),
-        }
-
-
-def census(size: int, verdicts: bool = True) -> Census:
-    """Classify every pattern of the given size; deterministic row order."""
-    rows, memo = [], {}
-    for p in enumerate_patterns(size):
+def census(size: int, verdicts: bool = True) -> Iterator[CensusRow]:
+    """Classify every pattern of the given size, yielding one row per pattern
+    in code order; the walk shares one least-witness memo."""
+    _check_guard(size)
+    memo: dict[Pattern, dict[str, Pattern]] = {}
+    for code in range(1 << size * (size - 1) // 2):
+        p = _coded(size, code)
         fl = classify(p)
         if verdicts:
             w = _least_witnesses(p, memo)
             oh, o1, o2 = "omega_hyp" in w, _one_2dim(w), "omega_2dim" in w
         else:
             oh = o1 = o2 = False
-        rows.append(CensusRow(p, fl, oh, o1, o2))
-    return Census(size, tuple(rows))
+        yield CensusRow(p, fl, oh, o1, o2)

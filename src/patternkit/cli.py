@@ -99,12 +99,13 @@ def cmd_classify(args) -> int:
 def cmd_census(args) -> int:
     from .classifier import census
 
-    c = census(args.size, verdicts=not args.no_verdicts)
+    verdicts = not args.no_verdicts
+    rows = census(args.size, verdicts=verdicts)
     if args.format == "records":
-        for row in c.rows:
+        for row in rows:
             rec = {"pattern": format_pattern(row.pattern)}
             rec.update(_flags_record(row.flags))
-            if not args.no_verdicts:
+            if verdicts:
                 rec.update({
                     "omega_hyp": int(row.omega_hyp),
                     "one_2dim": int(row.one_2dim),
@@ -112,17 +113,23 @@ def cmd_census(args) -> int:
                 })
             print(pio.emit_record(rec))
         return 0
-    print(f"census size={c.size} total={c.total}")
-    print(f"  divergent:               {c.count(lambda r: r.flags.divergent)}")
-    print(f"  irreducible:             {c.count(lambda r: r.flags.irreducible)}")
-    print(f"  divergent+irreducible:   "
-          f"{c.count(lambda r: r.flags.divergent and r.flags.irreducible)}")
-    print(f"  merging:                 {c.count(lambda r: r.flags.merging)}")
-    if not args.no_verdicts:
-        for key, val in c.verdict_counts().items():
-            print(f"  {key}: {val}")
-    div_irr = [format_pattern(r.pattern) for r in c.rows
-               if r.flags.divergent and r.flags.irreducible]
+    # one pass: each row adds to the counts and, if divergent and irreducible, the list
+    names = ("divergent", "irreducible", "divergent+irreducible", "merging",
+             "omega_hyp", "one_2dim", "omega_2dim")
+    total, counts, div_irr = 0, [0] * len(names), []
+    for row in rows:
+        fl = row.flags
+        hits = (fl.divergent, fl.irreducible, fl.divergent and fl.irreducible, fl.merging,
+                row.omega_hyp, row.one_2dim, row.omega_2dim)
+        total, counts = total + 1, [c + h for c, h in zip(counts, hits)]
+        if hits[2]:
+            div_irr.append(format_pattern(row.pattern))
+    print(f"census size={args.size} total={total}")
+    for name, n in zip(names[:4], counts):
+        print(f"  {name + ':':<25}{n}")
+    if verdicts:
+        for name, n in zip(names[4:], counts[4:]):
+            print(f"  {name}: {n}")
     if div_irr:
         print("  divergent+irreducible patterns: " + " ".join(div_irr))
     return 0

@@ -322,17 +322,27 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
     # (e, pattern, block count, label) of each requirement on a nonempty
     # index, in priority order; requirement k joins at stage k + 1
     reqs: list[tuple[int, Pattern, int, str]] = []
+    # each requirement's last oldest_blocks answer, kept while its index
+    # enumerates the same set: then every age grew by one, and every pair
+    # among the elements is final, since pair (x, y) is colored at stage y
+    answers: dict[str, Optional[list[list[int]]]] = {}
 
     for s in range(stages):
+        changed = set()
         for e in ages:
-            ages[e] = {x: ages[e].get(x, -1) + 1 for x in o.query(e, s)}
+            now = o.query(e, s)
+            if now != ages[e].keys():
+                changed.add(e)
+            ages[e] = {x: ages[e].get(x, -1) + 1 for x in now}
         if s:
             a, e = cantor_unpair(s - 1)
             if e in ages:
                 reqs.append((e, index_pattern(a), h_bound(s - 1) + 1, f"R[{a},{e}]"))
         restrained: set[int] = set()
         for e, p, count, req in reqs:
-            blocks = oldest_blocks(ages[e], p, rows, count)
+            if e in changed or req not in answers:
+                answers[req] = oldest_blocks(ages[e], p, rows, count)
+            blocks = answers[req]
             if blocks is None:
                 continue
             pick = next((b for b in blocks if not restrained & set(b)), None)

@@ -1,7 +1,9 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
+from patternkit import classifier
 from patternkit.cli import main
 from patternkit.core import PatternError, dual, is_subpattern, parse_pattern
 from patternkit.algebra import classify, join
@@ -81,8 +83,7 @@ class TestVerdicts:
         assert not preserves_omega_2dim(HEM)
 
     def test_some_size4_pattern_preserves_omega_2dim(self):
-        c = census(4)
-        hits = [r.pattern for r in c.rows if r.omega_2dim]
+        hits = [r.pattern for r in census(4) if r.omega_2dim]
         assert hits
         for p in hits:
             assert any(
@@ -128,32 +129,47 @@ class TestReport:
         assert rep.witnesses["omega_hyp"] == "3:101"
 
 
+def verdict_counts(rows):
+    return {key: sum(getattr(r, key) for r in rows)
+            for key in ("omega_hyp", "one_2dim", "omega_2dim")}
+
+
 class TestCensus:
     def test_size3_divergent_irreducible(self):
-        c = census(3)
-        hits = [str(r.pattern) for r in c.rows
+        hits = [str(r.pattern) for r in census(3)
                 if r.flags.divergent and r.flags.irreducible]
         assert hits == ["3:010", "3:101"]
 
     def test_size2_no_divergent(self):
-        c = census(2)
-        assert c.count(lambda r: r.flags.divergent) == 0
+        assert sum(r.flags.divergent for r in census(2)) == 0
 
     def test_size4_totals(self):
-        c = census(4)
-        assert c.total == 64
-        assert sum(c.flag_combo_counts().values()) == 64
+        rows = tuple(census(4))
+        assert len(rows) == 64
+        # every row falls under one (divergent, irreducible, merging0, merging1)
+        combos = Counter((r.flags.divergent, r.flags.irreducible,
+                          r.flags.merging0, r.flags.merging1) for r in rows)
+        assert sum(combos.values()) == 64
 
     def test_deterministic_row_order(self):
-        c1, c2 = census(3), census(3)
-        assert [r.pattern for r in c1.rows] == [r.pattern for r in c2.rows]
+        assert [r.pattern for r in census(3)] == [r.pattern for r in census(3)]
 
     def test_verdict_counts_match_rows(self):
-        c = census(3)
-        vc = c.verdict_counts()
-        assert vc["omega_hyp"] == 2
-        assert vc["one_2dim"] == 0
-        assert vc["omega_2dim"] == 0
+        assert verdict_counts(tuple(census(3))) == {
+            "omega_hyp": 2, "one_2dim": 0, "omega_2dim": 0}
+
+    def test_rows_stream(self, monkeypatch):
+        # census yields each row as it makes it: the first costs one classify
+        # per size down the all-zero deletions, not one per pattern of size 6
+        calls = []
+        monkeypatch.setattr(classifier, "classify",
+                            lambda p: calls.append(p) or classify(p))
+        rows = census(6)
+        assert str(next(rows).pattern) == "6:000000000000000"
+        assert len(calls) <= 7
+        rows.close()
+        with pytest.raises(PatternError):
+            next(census(9))
 
     def test_size6_pinned(self, capsys):
         # the records and counts of the full-subset scan the one-vertex
@@ -162,13 +178,13 @@ class TestCensus:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
             "e026b86a42c4c4636d09362cc819319ef7694f0e195fcc0cbb702222765ee965")
-        c = census(6)
-        assert c.total == 32768
-        assert c.count(lambda r: r.flags.divergent) == 30720
-        assert c.count(lambda r: r.flags.irreducible) == 28576
-        assert c.count(lambda r: r.flags.divergent and r.flags.irreducible) == 26790
-        assert c.count(lambda r: r.flags.merging) == 32128
-        assert c.verdict_counts() == {
+        rows = tuple(census(6))
+        assert len(rows) == 32768
+        assert sum(r.flags.divergent for r in rows) == 30720
+        assert sum(r.flags.irreducible for r in rows) == 28576
+        assert sum(r.flags.divergent and r.flags.irreducible for r in rows) == 26790
+        assert sum(r.flags.merging for r in rows) == 32128
+        assert verdict_counts(rows) == {
             "omega_hyp": 32374, "one_2dim": 31338, "omega_2dim": 31226}
 
 
@@ -228,9 +244,9 @@ def _old_report(p):
 class TestWitnessScanDifferential:
     @pytest.mark.parametrize("size", range(1, 6))
     def test_matches_old_scans_exhaustively(self, size):
-        c = census(size)
-        assert [r.pattern for r in c.rows] == enumerate_patterns(size)
-        for row in c.rows:
+        rows = tuple(census(size))
+        assert [r.pattern for r in rows] == enumerate_patterns(size)
+        for row in rows:
             p = row.pattern
             verdicts = (_old_omega_hyp(p), _old_one_2dim(p), _old_omega_2dim(p))
             assert (preserves_omega_hyp(p), preserves_one_2dim(p),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -46,6 +47,20 @@ class TestClassify:
         assert code == 2 and "error:" in err
 
 
+# sha256 of census stdout, taken before census began yielding its rows; the
+# size-6 records are pinned in test_classifier's test_size6_pinned
+CENSUS_SHA256 = {
+    "4": "4e36412e8ff417a015bd229cd1550abe55a057014a4f86c0c95e8ed70bba5e38",
+    "5": "193fefe09147a1a00b095f527516dbc9afb99055825ea0cb3df3edad464d0331",
+    "6": "405ff737ce6e4d219cbb2df337951157fe21cd7641d8d289c90fb161790ff16c",
+    "4 --no-verdicts": "7eec5a83342be8856f93623eed0a3065fcbbf5840fe47be6431a48ed0c611869",
+    "5 --no-verdicts": "39ff9b05fa1657ebca004ca4584d2c772b781d9b6628a2fe57f9471b373deec4",
+    "6 --no-verdicts": "88d1db6f1c92eb22eac1fb20f24d3237dabeee809c4607baf28663b84ac8d864",
+    "4 --format records": "71da17322af2f2a8977b436b37e8f1a1dc2cd7e378e18eb5bc0e2463d175372a",
+    "5 --format records": "718697f3d9cc06a42b3da4ee4cc461a27370ee3f40557ff02baf90c73509fbc7",
+}
+
+
 class TestCensus:
     def test_size3_text(self, capsys):
         code, out, _ = run_cli(capsys, "census", "3")
@@ -59,6 +74,12 @@ class TestCensus:
         assert len(lines) == 8
         recs = [parse_record(l) for l in lines]
         assert sum(int(r["divergent"]) & int(r["irreducible"]) for r in recs) == 2
+
+    @pytest.mark.parametrize("argv", list(CENSUS_SHA256))
+    def test_stdout_pinned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "census", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_SHA256[argv]
 
 
 class TestMode:

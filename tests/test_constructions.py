@@ -131,6 +131,62 @@ def oldest_blocks_rebuilt(ages, p, rows, count):
     return blocks
 
 
+def dnc_rebuilt(o: ApproxOracle, stages: int):
+    """The dnc stage loop as it was before it kept oldest_blocks answers:
+    every requirement searches its blocks at every stage.  Returns the rows
+    and the (stage, kind, requirement, detail) of every event."""
+    rows, events = [0] * stages, []
+    ages = {e: {} for e in o.indices()}
+    reqs = []
+    for s in range(stages):
+        for e in ages:
+            ages[e] = {x: ages[e].get(x, -1) + 1 for x in o.query(e, s)}
+        if s:
+            a, e = cantor_unpair(s - 1)
+            if e in ages:
+                reqs.append((e, index_pattern(a), h_bound(s - 1) + 1, f"R[{a},{e}]"))
+        restrained = set()
+        for e, p, count, req in reqs:
+            blocks = oldest_blocks(ages[e], p, rows, count) or []
+            pick = next((b for b in blocks if not restrained & set(b)), None)
+            if pick is None:
+                continue
+            restrained.update(pick)
+            events.append((s, "restrain", req, (("elements", ",".join(map(str, pick))),)))
+            for i, x in enumerate(pick):
+                c = p(i, p.size - 1)
+                rows[x] |= c << s
+                rows[s] |= c << x
+                events.append((s, "color", req, (("x", str(x)), ("y", str(s)), ("c", str(c)))))
+            events.append((s, "act", req, (("block", ",".join(map(str, pick))),)))
+    return rows, events
+
+
+def flickering_dnc_oracle(seed: int) -> ApproxOracle:
+    """Three indices whose enumerations grow with the stage (elements at or
+    above the stage are clipped), drop elements and bring them back."""
+    rng = random.Random(seed)
+    entries = []
+    for e in range(3):
+        s0 = 0
+        for _ in range(4):
+            entries.append((e, s0, frozenset(rng.sample(range(90), rng.randint(5, 40)))))
+            s0 += rng.randint(5, 40)
+    return ApproxOracle(tuple(entries))
+
+
+def acts_realize_their_patterns(f, trace) -> bool:
+    """Whether every act's block plus its stage realizes the acting
+    requirement's pattern in the finished coloring."""
+    for ev in trace.events:
+        if ev.kind == "act":
+            a = int(ev.requirement[2:-1].split(",")[0])
+            block = [int(x) for x in ev.get("block").split(",")]
+            if not realizes(f, block + [ev.stage], index_pattern(a)):
+                return False
+    return True
+
+
 def biarray_lookups_by_scan(fn: BiArrayFunctional, n: int, m: int, s: int):
     """E(n, s), F(n, m, s), primary_args() and secondary_args() by the
     linear scans BiArrayFunctional made before it indexed its entries, kept
@@ -401,6 +457,44 @@ class TestDncBuilder:
         assert len(trace.events) == 8778
         assert h.hexdigest() == \
             "bb44259d1e20f56b8611dbdf9430ba5fc97cc86ed3c6572bfc744ba2a76487b2"
+
+    def test_fixture_searches_blocks_only_when_enumerations_change(
+            self, fixtures, monkeypatch):
+        # index 0 changes only at stages 1..60 and 101, so a requirement
+        # searches at most once after stage 101: 46 searches, not 10,512
+        o = parse_approx_oracle((fixtures / "dnc_oracle.txt").read_text())
+        calls = []
+        monkeypatch.setattr(constructions, "oldest_blocks",
+                            lambda *args: calls.append(args) or oldest_blocks(*args))
+        build_dnc_coloring(o, 500)
+        assert len(calls) == 46
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_searching_every_stage(self, seed):
+        o = flickering_dnc_oracle(seed)
+        f, trace = build_dnc_coloring(o, 150)
+        rows, events = dnc_rebuilt(o, 150)
+        assert list(f.rows) == rows
+        assert [(ev.stage, ev.kind, ev.requirement, ev.detail)
+                for ev in trace.events] == events
+        assert any(kind == "act" for _, kind, _, _ in events)
+
+    def test_fixture_acts_realize_their_patterns(self, fixtures):
+        # the construction's purpose: requirement R[a,e] acting at stage s
+        # leaves its block plus s realizing index_pattern(a) for good
+        o = parse_approx_oracle((fixtures / "dnc_oracle.txt").read_text())
+        f, trace = build_dnc_coloring(o, 500)
+        assert sum(ev.kind == "act" for ev in trace.events) == 2394
+        assert acts_realize_their_patterns(f, trace)
+        # one block vertex's colour toward the stage, flipped, breaks it
+        ev = next(ev for ev in trace.events if ev.kind == "act")
+        x = int(ev.get("block").split(",")[0])
+        assert not acts_realize_their_patterns(flip_pair(f, x, ev.stage), trace)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flickering_acts_realize_their_patterns(self, seed):
+        f, trace = build_dnc_coloring(flickering_dnc_oracle(seed), 150)
+        assert acts_realize_their_patterns(f, trace)
 
 
 class TestPrefixFunctional:

@@ -22,7 +22,8 @@ from patternkit.io import format_approx_oracle, format_coloring
 SRC = str(Path(patternkit.__file__).parents[1])
 
 # every name `patternkit` exported before its submodules were loaded lazily,
-# with the submodule that defines it
+# with the submodule that defines it; `Census` left when census began
+# yielding its rows
 EXPORTS = {
     "core": [
         "Embedding", "FiniteColoring", "PartialColoring", "Pattern", "PatternError",
@@ -36,7 +37,7 @@ EXPORTS = {
         "is_i_merging", "is_irreducible", "is_merging", "join",
     ],
     "classifier": [
-        "Census", "CensusRow", "ClassificationReport", "census", "enumerate_patterns",
+        "CensusRow", "ClassificationReport", "census", "enumerate_patterns",
         "preserves_omega_2dim", "preserves_omega_hyp", "preserves_one_2dim",
         "report", "subpatterns",
     ],
