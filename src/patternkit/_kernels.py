@@ -5,17 +5,21 @@ of `rows[x]` the colour of (x, y); element lists as plain increasing lists.
 `Pattern.rows` comes from `_pattern_matrix`: it ORs one precomputed packed
 row set per 4-bit slice of the code (`_slice_tables`, built once per size)
 and unpacks the result, so a size-6 pattern costs 4 lookups, not 15 pair
-steps.  The realizer search is the only one in the package: strong
-appearance, witnessed avoidance and the admissibility step of the
-avoiding-subset search all call it with `last`, the int mask of the elements
-whose colour toward a virtual top vertex is 1.
+steps.  Sweeps over every pattern of a size read `_rows_by_code` instead: it
+streams the rows of each code in code order from the same tables, holding
+one block of at most 4,096 packed values and filling no cache.
+
+The realizer search is the only one in the package: strong appearance,
+witnessed avoidance and the admissibility step of the avoiding-subset search
+all call it with `last`, the int mask of the elements whose colour toward a
+virtual top vertex is 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 
 # Slice tables take about size^4 / 4 bytes (0.2 MB at size 30, 17 MB at 100);
@@ -60,6 +64,23 @@ def _pattern_matrix(size: int, code: int) -> tuple[int, ...]:
         code >>= 4
     row = (1 << size) - 1
     return tuple([packed >> shift & row for shift in range(0, size * size, size)])
+
+
+def _rows_by_code(size: int) -> Iterator[tuple[int, ...]]:
+    """The row masks of every pattern of this size, in code order.
+
+    Each pattern's packed rows are the sum of one entry per slice table (the
+    entries set disjoint bits), the three lowest slices taken from one block
+    of at most 4,096 precomputed sums; no row tuple is cached."""
+    tables = _slice_tables(size)[::-1]  # most significant slice first
+    row = (1 << size) - 1
+    shifts = range(0, size * size, size)
+    block = [sum(low) for low in itertools.product(*tables[-3:])]
+    for high in itertools.product(*tables[:-3]):
+        top = sum(high)
+        for packed in block:
+            packed += top
+            yield tuple([packed >> shift & row for shift in shifts])
 
 
 def lex_least_realizer(rows, elems, prows, last=None) -> Optional[list[int]]:

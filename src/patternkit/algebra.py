@@ -2,13 +2,19 @@
 
 Join glues two patterns at one shared vertex: the last vertex of the left
 pattern is identified with the first vertex of the right one, and every
-cross pair inherits the left pattern's last-column color.  Irreducibility,
-divergence and the merging predicates all quantify over contiguous splits
-of the vertex line, which is enough because a join seam is always
-contiguous.  Everything here reads patterns through their row masks
-(`Pattern.rows`), so each split costs one mask comparison per vertex.
-Irreducibility tests every split; i-merging tests at most one, the split
-whose left part is the set of vertices the last column colours i.
+cross pair inherits the left pattern's last-column color.  Join and the
+splits `decompositions` tries are code arithmetic: a pattern's code lists
+each vertex's segment of pair colors in turn, so gluing or cutting at a
+vertex moves whole segments, O(size) shifts and no rows.
+
+Irreducibility, divergence and the merging predicates all quantify over
+contiguous splits of the vertex line, which is enough because a join seam
+is always contiguous.  Each has one core on row masks (`_irreducible`,
+`_divergent`, `_i_merging`), which the lemma sweeps call on rows they stream
+themselves; the public predicates read `Pattern.rows`.  A split costs one
+mask comparison per vertex.  Irreducibility tests every split; i-merging
+tests at most one, the split whose left part is the set of vertices the last
+column colours i.
 """
 
 from __future__ import annotations
@@ -16,59 +22,73 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Pattern, PatternError, _coded, _gather, restrict
+from .core import Pattern, PatternError, _coded
 
 
 def join(p: Pattern, q: Pattern) -> Pattern:
     """Pattern of size |p|+|q|-1 gluing q's first vertex onto p's last."""
-    seam, size = p.size - 1, p.size + q.size - 1
-    cross = (1 << size) - (2 << seam)  # the vertices of q after the seam
-    last = p.rows[seam]
-    rows = [r | cross if r >> seam & 1 else r for r in p.rows[:seam]]
-    rows += [r << seam | last for r in q.rows]
-    return _coded(size, _gather(rows, range(size)))
+    a, b = p.size, q.size
+    fill = (1 << b - 1) - 1  # b-1 copies of colour 1
+    code, left = 0, a * (a - 1) // 2
+    for length in range(a - 1, 0, -1):
+        # vertex x = a-1-length keeps its segment of p.code, whose last bit
+        # is its colour toward the seam, then repeats that colour toward q
+        left -= length
+        segment = p.code >> left & (1 << length) - 1
+        code = (code << length | segment) << b - 1 | (fill if segment & 1 else 0)
+    return _coded(a + b - 1, code << b * (b - 1) // 2 | q.code)
+
+
+def _prefix(p: Pattern, k: int) -> Pattern:
+    """restrict(p, range(k)), for 1 <= k <= |p|: the leading k-1-x bits of
+    each vertex x's segment of the code, for x < k-1."""
+    drop, code, left = p.size - k, 0, p.size * (p.size - 1) // 2
+    for keep in range(k - 1, 0, -1):
+        left -= keep + drop
+        code = code << keep | p.code >> left + drop & (1 << keep) - 1
+    return _coded(k, code)
 
 
 def decompositions(p: Pattern) -> list[tuple[Pattern, Pattern]]:
     """All splits p = left ⊎ right with both sides of size >= 2.
 
     A seam is always contiguous, so each split point k yields at most one
-    candidate pair, verified by re-joining.
+    candidate pair, verified by re-joining.  The right side, the vertices
+    from k-1 on, is the low C(|p|-k+1, 2) bits of p's code.
     """
     out = []
     for k in range(2, p.size):
-        left = restrict(p, range(k))
-        right = restrict(p, range(k - 1, p.size))
+        m = p.size - k + 1
+        left = _prefix(p, k)
+        right = _coded(m, p.code & (1 << m * (m - 1) // 2) - 1)
         if join(left, right) == p:
             out.append((left, right))
     return out
 
 
-def is_irreducible(p: Pattern) -> bool:
-    """Whether p is no join of smaller patterns (`not decompositions(p)`),
-    decided by the split criterion: every split F = [0,k), G = [k,l) with F
-    nonempty and |G| >= 2 has an F-vertex whose colors toward G differ."""
-    rows = p.rows
-    for k in range(1, p.size - 1):
-        G = (1 << p.size) - (1 << k)
+def _irreducible(rows) -> bool:
+    """The split criterion on row masks: every split F = [0,k), G = [k,l)
+    with F nonempty and |G| >= 2 has an F-vertex whose colors toward G
+    differ."""
+    size = len(rows)
+    for k in range(1, size - 1):
+        G = (1 << size) - (1 << k)
         if all(r & G in (0, G) for r in rows[:k]):
             return False
     return True
 
 
-def is_divergent(p: Pattern) -> bool:
-    """Last column non-constant; sizes <= 2 are convergent."""
-    return p.size > 2 and p.rows[-1] not in (0, (1 << p.size - 1) - 1)
+def _divergent(rows) -> bool:
+    """Last row non-constant; sizes <= 2 are convergent."""
+    return len(rows) > 2 and rows[-1] not in (0, (1 << len(rows) - 1) - 1)
 
 
-def is_i_merging(p: Pattern, i: int) -> bool:
-    """Split condition over contiguous nontrivial splits of [0, l-1)."""
-    if i not in (0, 1):
-        raise PatternError("merging color must be 0 or 1")
+def _i_merging(rows, i: int) -> bool:
+    """i-merging on row masks, for i in (0, 1)."""
     # a split F = [0,k), G = [k,l-1) refutes i-merging when the last column
     # is i on F and 1-i on G, and every F-G pair has one color; the last
     # column fixes F, so at most one split can refute
-    rows, l = p.rows, p.size
+    l = len(rows)
     below = (1 << l - 1) - 1  # every vertex but the last
     F = rows[-1] if i else rows[-1] ^ below
     k = F.bit_length()
@@ -76,6 +96,24 @@ def is_i_merging(p: Pattern, i: int) -> bool:
         return True
     G = below ^ F
     return {r & G for r in rows[:k]} not in ({0}, {G})
+
+
+def is_irreducible(p: Pattern) -> bool:
+    """Whether p is no join of smaller patterns (`not decompositions(p)`),
+    decided by the split criterion."""
+    return _irreducible(p.rows)
+
+
+def is_divergent(p: Pattern) -> bool:
+    """Last column non-constant; sizes <= 2 are convergent."""
+    return _divergent(p.rows)
+
+
+def is_i_merging(p: Pattern, i: int) -> bool:
+    """Split condition over contiguous nontrivial splits of [0, l-1)."""
+    if i not in (0, 1):
+        raise PatternError("merging color must be 0 or 1")
+    return _i_merging(p.rows, i)
 
 
 def is_merging(p: Pattern) -> bool:
@@ -104,9 +142,10 @@ class ClassificationFlags:
 
 @lru_cache(maxsize=4096)
 def classify(p: Pattern) -> ClassificationFlags:
+    rows = p.rows
     return ClassificationFlags(
-        divergent=is_divergent(p),
-        irreducible=is_irreducible(p),
-        merging0=is_i_merging(p, 0),
-        merging1=is_i_merging(p, 1),
+        divergent=_divergent(rows),
+        irreducible=_irreducible(rows),
+        merging0=_i_merging(rows, 0),
+        merging1=_i_merging(rows, 1),
     )

@@ -309,11 +309,19 @@ def cmd_verify_lemmas(args) -> int:
 
     if args.count < 0:
         raise PatternError(f"--count must be nonnegative, got {args.count}")
+    # a suite's generator is seeded with seed ^ crc32(name), and
+    # random.Random seeds from its absolute value: a negative seed would
+    # replay another seed's stream (-2 replays seed 0's join-associative)
+    if args.seed < 0:
+        raise PatternError(f"--seed must be nonnegative, got {args.seed}")
     names = args.suites.split(",") if args.suites is not None else None
     if names is not None:
         if "" in names:
             raise PatternError(f"empty entry {names.index('') + 1} in --suites "
                                f"{args.suites!r}")
+        repeated = next((n for k, n in enumerate(names) if n in names[:k]), None)
+        if repeated is not None:
+            raise PatternError(f"repeated entry {repeated!r} in --suites {args.suites!r}")
         unknown = [n for n in names if n not in SUITES]
         if unknown:
             raise PatternError(f"unknown suites: {', '.join(unknown)}")
@@ -410,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-lemmas", help="run the law-checking suites", description=(
         "A sampled suite that draws 100 instances per requested run without accepting "
         "--count of them stops with status 'exhausted', which fails the run."))
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="nonnegative (default 0)")
     sp.add_argument("--count", type=int, default=2000,
                     help="accepted runs for each of the six sampled suites (duality "
                          "stops at 2,000); the three sweeps always check 33,866 / "

@@ -4,6 +4,9 @@ combinatorial laws the rest of the package relies on.
 Each suite returns a SuiteResult with the instances tried and any
 counterexamples found; the CLI batch runner and the test suite both drive
 these functions, so a law violation shows up identically in both places.
+The three exhaustive suites sweep every code of their sizes with the row
+masks `_kernels._rows_by_code` streams, and test them with the row-level
+predicate cores of `algebra`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Optional
 
 from .core import (
@@ -24,11 +26,14 @@ from .core import (
     dual,
     flip,
 )
+from ._kernels import _rows_by_code
 from .algebra import (
+    _divergent,
+    _i_merging,
+    _irreducible,
     classify,
     decompositions,
     is_divergent,
-    is_i_merging,
     is_irreducible,
     join,
 )
@@ -114,12 +119,16 @@ def _sampled(name: str, count: int,
 
 
 def _swept(name: str, sizes: range,
-           failures: Callable[[Pattern], list[str]]) -> SuiteResult:
-    """Check failures(p) on every pattern p of the given sizes: a sampled suite
-    whose draws are the 2^C(n,2) patterns of each size n in turn, all accepted."""
-    patterns = chain.from_iterable(map(enumerate_patterns, sizes))
-    return _sampled(name, sum(2 ** (n * (n - 1) // 2) for n in sizes),
-                    lambda: failures(next(patterns)))
+           failures: Callable[[int, tuple[int, ...]], list[str]]) -> SuiteResult:
+    """Check failures(code, rows) on every pattern of the given sizes, given
+    by its code and row masks, in code order; every pattern is a run.  No
+    Pattern is built unless a law fails on it."""
+    bad, runs = [], 0
+    for n in sizes:
+        for code, rows in enumerate(_rows_by_code(n)):
+            bad += failures(code, rows)
+        runs += 1 << n * (n - 1) // 2
+    return SuiteResult(name, runs, tuple(bad[:5]), skipped=runs == 0)
 
 
 def suite_join_associative(rng: random.Random, count: int = 10_000) -> SuiteResult:
@@ -142,26 +151,28 @@ def suite_join_divergence(rng: random.Random, count: int = 10_000) -> SuiteResul
 def suite_default_merging(max_size: int = 6) -> SuiteResult:
     """Every pattern merges for the complement of its first limit color and
     for its last limit color; exhaustive over small sizes."""
-    def failures(p):
-        last = p.rows[-1]  # bit x: the color of (x, l-1)
-        return [f"{p} color {i}" for i in (1 - (last & 1), last >> p.size - 2 & 1)
-                if not is_i_merging(p, i)]
+    def failures(code, rows):
+        last = rows[-1]  # bit x: the color of (x, l-1)
+        return [f"{_coded(len(rows), code)} color {i}"
+                for i in (1 - (last & 1), last >> len(rows) - 2 & 1)
+                if not _i_merging(rows, i)]
     return _swept("default-merging", range(2, max_size + 1), failures)
 
 
 def suite_convergent_merging(max_size: int = 6) -> SuiteResult:
     """Convergent patterns of size >= 3 are merging; exhaustive."""
-    def failures(p):
-        holds = is_divergent(p) or (is_i_merging(p, 0) and is_i_merging(p, 1))
-        return [] if holds else [str(p)]
+    def failures(code, rows):
+        holds = _divergent(rows) or (_i_merging(rows, 0) and _i_merging(rows, 1))
+        return [] if holds else [str(_coded(len(rows), code))]
     return _swept("convergent-merging", range(3, max_size + 1), failures)
 
 
 def suite_irreducibility_criterion(max_size: int = 5) -> SuiteResult:
     """Split-criterion irreducibility agrees with the definition (no
     decomposition into a join); exhaustive."""
-    def failures(p):
-        return [str(p)] if is_irreducible(p) == bool(decompositions(p)) else []
+    def failures(code, rows):
+        p = _coded(len(rows), code)
+        return [str(p)] if _irreducible(rows) == bool(decompositions(p)) else []
     return _swept("irreducibility-criterion", range(1, max_size + 1), failures)
 
 

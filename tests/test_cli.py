@@ -335,6 +335,23 @@ class TestInputErrors:
     def test_negative_count(self, capsys):
         self.assert_user_error(capsys, "verify-lemmas", "--count", "-3")
 
+    @pytest.mark.parametrize("seed", ["-1", "-2", "-3"])
+    def test_negative_seed(self, capsys, seed):
+        # -2 would replay seed 0's join-associative stream, -3 seed 3's
+        # join-divergence stream
+        err = self.assert_user_error(capsys, "verify-lemmas", "--count", "1",
+                                     "--seed", seed)
+        assert f"--seed must be nonnegative, got {seed}" in err
+
+    @pytest.mark.parametrize("suites, name", [
+        ("duality,duality", "duality"),
+        ("join-divergence,duality,join-divergence", "join-divergence"),
+    ])
+    def test_repeated_suite_entry(self, capsys, suites, name):
+        err = self.assert_user_error(capsys, "verify-lemmas", "--count", "1",
+                                     "--suites", suites)
+        assert f"repeated entry {name!r} in --suites {suites!r}" in err
+
     @pytest.mark.parametrize("kind, option, value", [
         ("omega", "--stem1", "1"),
         ("i", "--pattern1", "2:1"),

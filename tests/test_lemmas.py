@@ -54,11 +54,28 @@ class TestSuites:
         assert not result.passed and result.counterexamples
 
     def test_planted_merging_defect_caught(self, monkeypatch):
-        real = lemmas.is_i_merging
-        monkeypatch.setattr(lemmas, "is_i_merging",
-                            lambda p, i: False if p.size == 4 else real(p, i))
+        real = lemmas._i_merging
+        monkeypatch.setattr(lemmas, "_i_merging",
+                            lambda rows, i: False if len(rows) == 4 else real(rows, i))
         result = lemmas.suite_default_merging(max_size=4)
         assert not result.passed
+
+    def test_planted_convergent_merging_defect_caught(self, monkeypatch):
+        # no pattern merges: every convergent one fails, size 3 first
+        monkeypatch.setattr(lemmas, "_i_merging", lambda rows, i: False)
+        result = lemmas.suite_convergent_merging()
+        assert result.runs == 33_864 and not result.passed
+        assert result.counterexamples == ("3:000", "3:011", "3:100", "3:111",
+                                          "4:000000")
+
+    def test_planted_irreducibility_defect_caught(self, monkeypatch):
+        # every pattern called irreducible: the reducible ones fail, which
+        # at size 3 is all but 3:010 and 3:101
+        monkeypatch.setattr(lemmas, "_irreducible", lambda rows: True)
+        result = lemmas.suite_irreducibility_criterion()
+        assert result.runs == 1_099 and not result.passed
+        assert result.counterexamples == ("3:000", "3:001", "3:110", "3:111",
+                                          "4:000000")
 
 
 # sha256 of the (SuiteResult, rng.getstate()) reprs for seeds 0, 3, 11 and
@@ -103,7 +120,7 @@ class TestCounterexampleLimit:
 
     def test_sweep_keeps_five(self, monkeypatch):
         # two counterexamples for each of the 33,866 patterns of sizes 2-6
-        monkeypatch.setattr(lemmas, "is_i_merging", lambda p, i: False)
+        monkeypatch.setattr(lemmas, "_i_merging", lambda rows, i: False)
         result = lemmas.suite_default_merging()
         assert result.runs == 33_866
         assert result.counterexamples == ("2:0 color 1", "2:0 color 0",

@@ -1,14 +1,18 @@
 """Patterns as (size, code) read through row masks, against a tuple-of-bits
 reference written here: a pattern is (size, bits) with the pair colors in
 lexicographic order, and every operation reads it one pair at a time.
-Exhaustive over every pattern of size <= 5 and every join up to 4 + 4."""
+Exhaustive over every pattern of size <= 5 and every join up to 4 + 4.
+The code-arithmetic join, the prefix restriction and the streamed rows are
+also checked against the row-based versions they replaced."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from patternkit.algebra import (
+    _prefix,
     classify,
     decompositions,
     is_divergent,
@@ -16,11 +20,18 @@ from patternkit.algebra import (
     is_irreducible,
     join,
 )
-from patternkit._kernels import _SLICED_MAX_SIZE, _pattern_matrix
+from patternkit._kernels import (
+    _SLICED_MAX_SIZE,
+    _pattern_matrix,
+    _rows_by_code,
+    _slice_tables,
+)
 from patternkit.classifier import enumerate_patterns, subpatterns
 from patternkit.constructions import index_pattern, pattern_index
 from patternkit.core import (
     Pattern,
+    _coded,
+    _gather,
     coloring_from_function,
     dual,
     embeddings,
@@ -175,6 +186,37 @@ def test_slice_table_rows_seeded_codes(size):
         assert _pattern_matrix.__wrapped__(size, code) == pair_rows(size, code)
 
 
+@pytest.mark.parametrize("size", range(1, 7))
+def test_rows_by_code_every_code(size):
+    streamed = list(_rows_by_code(size))
+    assert len(streamed) == 1 << size * (size - 1) // 2
+    for code, rows in enumerate(streamed):
+        assert rows == _pattern_matrix.__wrapped__(size, code)
+
+
+def test_rows_by_code_seeded_codes_size_7():
+    rng = random.Random(7)
+    sample = {0, (1 << 21) - 1, *(rng.getrandbits(21) for _ in range(2000))}
+    for code, rows in enumerate(_rows_by_code(7)):
+        if code in sample:
+            assert rows == _pattern_matrix.__wrapped__(7, code)
+    assert code == (1 << 21) - 1
+
+
+def test_rows_by_code_streams_size_8():
+    # 2^28 codes: the stream holds one block of packed rows, not the size
+    _slice_tables.cache_clear()  # count the tables too
+    tracemalloc.start()
+    try:
+        # past the first block of 4,096 codes, keeping no rows
+        same = all(rows == _pattern_matrix.__wrapped__(8, code)
+                   for code, rows in zip(range(5_000), _rows_by_code(8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same and peak < 1 << 20
+
+
 def test_equality_hash_and_order():
     ps = [pat(r) for r in REFS]
     assert len(set(ps)) == len(REFS)
@@ -215,6 +257,39 @@ def test_join_every_pair_up_to_4_plus_4():
     small = [r for r in REFS if r[0] <= 4]
     for r, s in itertools.product(small, repeat=2):
         assert join(pat(r), pat(s)) == pat(ref_join(r, s)), (r, s)
+
+
+def rows_join(p, q):
+    # the join from row masks, one pair at a time, as the package built it
+    # before joining codes directly
+    seam, size = p.size - 1, p.size + q.size - 1
+    cross = (1 << size) - (2 << seam)
+    last = p.rows[seam]
+    rows = [r | cross if r >> seam & 1 else r for r in p.rows[:seam]]
+    rows += [r << seam | last for r in q.rows]
+    return _coded(size, _gather(rows, range(size)))
+
+
+def test_join_against_rows_join_up_to_5_plus_4():
+    left = [pat(r) for r in REFS]
+    right = [p for p in left if p.size <= 4]
+    for p, q in itertools.product(left, right):
+        assert join(p, q) == rows_join(p, q), (p, q)
+
+
+def test_join_against_rows_join_seeded_up_to_12():
+    rng = random.Random(12)
+    for _ in range(3_000):
+        p, q = (_coded(n, rng.getrandbits(n * (n - 1) // 2))
+                for n in (rng.randint(1, 12), rng.randint(1, 12)))
+        assert join(p, q) == rows_join(p, q), (p, q)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_prefix_is_restrict(size):
+    for p in enumerate_patterns(size):
+        for k in range(1, size + 1):
+            assert _prefix(p, k) == restrict(p, range(k))
 
 
 def test_restrict_dual_minus():
