@@ -7,14 +7,16 @@ reservoir below the bound, so the evaluators quantify over assignments to
 X ∩ [0, n] rather than all of [0, n]; reported failure witnesses are padded
 with zeros back to [0, n].
 
-A rho passes for a coloring g when it avoids p, phi(sigma ∪ rho) fires, and
-g witnesses it (fg_avoids).  Only the last test reads g, so each question
+A coloring g is an int mask, bit x its colour of x.  A rho passes for g when
+no subset of rho realizes p, phi(sigma ∪ rho) fires, and g witnesses it: the
+realizer kernel, given g as the colours toward a virtual top vertex, finds
+no truncation realizer in rho.  Only the last test reads g, so each question
 builds one candidate scan per side: the rho ⊆ X ∩ [0, n] in size-then-
-lexicographic order that avoid p and make phi fire.  The scan is lazy and
+lexicographic order that pass the first two tests.  The scan is lazy and
 memoised, so each rho's coloring-independent half is tested at most once
 however many colorings reach it, and each evaluator is only the quantifier
 over colorings: the first g (in itertools.product order) under which no
-candidate passes fg_avoids is the failure witness.
+candidate passes the witnessed test is the failure witness.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import FiniteColoring, PartialColoring, Pattern, PatternError, avoids
-from .stabilize import fg_avoids
+from . import _kernels
+from .core import FiniteColoring, Pattern, PatternError
 
 MAX_BOUND = 14
 
@@ -50,10 +52,14 @@ def _check_bound(f: FiniteColoring, n: int) -> None:
 
 
 def _reservoir(f, n, stems, X) -> list[int]:
-    """X ∩ [0, n], sorted, once the bound is checked and each (sorted) stem is
-    known to lie in the window and below that reservoir."""
+    """X ∩ [0, n], sorted, once the bound is checked, X is known to hold no
+    negative element, and each (sorted) stem is known to lie in the window
+    and below that reservoir."""
     _check_bound(f, n)
-    Xn = sorted({x for x in X if 0 <= x <= n})
+    xs = set(X)
+    if xs and min(xs) < 0:
+        raise PatternError(f"reservoir element {min(xs)} is negative")
+    Xn = sorted(x for x in xs if x <= n)
     for ss in filter(None, stems):
         if min(ss) < 0 or max(ss) >= f.window:
             raise PatternError(f"stem {ss} outside window [0,{f.window})")
@@ -64,33 +70,42 @@ def _reservoir(f, n, stems, X) -> list[int]:
 
 def _candidates(f, sigma, Xn, p, phi):
     """A re-iterable scan, by size and then lexicographically, over the rho ⊆ Xn
-    that avoid p and make phi(sigma ∪ rho) fire.  Each rho is tested once, by
-    the first scan that reaches it; later scans replay the passing ones first."""
+    that hold no realizer of p and make phi(sigma ∪ rho) fire, each paired
+    with its mask.  Each rho is tested once, by the first scan that
+    reaches it; later scans replay the passing ones first."""
     if p.size < 2:
         raise PatternError("witnessed avoidance needs a pattern of size >= 2")
     stem, seen = frozenset(sigma), []
-    pending = (rho for k in range(len(Xn) + 1) for rho in itertools.combinations(Xn, k)
-               if avoids(f, rho, p) and phi.satisfied_by(stem.union(rho)))
+    pending = ((rho, sum(1 << x for x in rho))
+               for k in range(len(Xn) + 1) for rho in itertools.combinations(Xn, k)
+               if _kernels.lex_least_realizer(f.rows, rho, p.rows) is None
+               and phi.satisfied_by(stem.union(rho)))
 
     def scan():
         yield from seen
-        for rho in pending:
-            seen.append(rho)
-            yield rho
+        for hit in pending:
+            seen.append(hit)
+            yield hit
     return scan
 
 
-def _colorings(support: Sequence[int]):
-    """All vertex 2-colorings of the support, as PartialColorings."""
-    for bits in itertools.product((0, 1), repeat=len(support)):
-        yield PartialColoring(dict(zip(support, bits)))
+def _colorings(support: Sequence[int]) -> list[int]:
+    """All vertex 2-colorings of the support, as masks, in itertools.product
+    order (the least element's colour varies slowest)."""
+    masks = [0]
+    for x in support:
+        masks = [g | bit for g in masks for bit in (0, 1 << x)]
+    return masks
 
 
-def _uncovered(f, Xn, sides) -> Optional[PartialColoring]:
+def _uncovered(f, Xn, sides) -> Optional[int]:
     """The first coloring g of Xn that witnesses no candidate rho of any
-    (p, scan) side."""
+    (p.rows, scan) side: in each, the kernel finds a truncation realizer of p
+    that agrees with g on p's last column."""
+    rows = f.rows
     return next((g for g in _colorings(Xn) if not any(
-        fg_avoids(f, g, rho, p) for p, rhos in sides for rho in rhos())), None)
+        _kernels.lex_least_realizer(rows, rho, prows, g) is None
+        for prows, rhos in sides for rho, _ in rhos())), None)
 
 
 def _result(fail, n, collect_failure):
@@ -100,8 +115,8 @@ def _result(fail, n, collect_failure):
         return fail is None
     if fail is None:
         return True, None
-    pad = lambda g: {x: (g(x) if x in g else 0) for x in range(n + 1)}  # noqa: E731
-    return False, pad(fail) if isinstance(fail, PartialColoring) else tuple(map(pad, fail))
+    pad = lambda g: {x: g >> x & 1 for x in range(n + 1)}  # noqa: E731
+    return False, tuple(map(pad, fail)) if isinstance(fail, tuple) else pad(fail)
 
 
 def eval_question_omega(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
@@ -112,7 +127,7 @@ def eval_question_omega(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int
     on [0,n] or None) instead of a bare boolean."""
     ss = sorted(sigma)
     Xn = _reservoir(f, n, [ss], X)
-    sides = [(p, _candidates(f, ss, Xn, p, phi))]
+    sides = [(p.rows, _candidates(f, ss, Xn, p, phi))]
     return _result(_uncovered(f, Xn, sides), n, collect_failure)
 
 
@@ -124,10 +139,11 @@ def eval_question_i(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
     ss = sorted(sigma)
     Xn = _reservoir(f, n, [ss], X)
     rhos = _candidates(f, ss, Xn, p, phi)
-    gs = list(_colorings(Xn))
+    gs, rows, prows = _colorings(Xn), f.rows, p.rows
     fail = next(((h0, h1) for h0 in gs for h1 in gs if not any(
-        len({h0(x) for x in rho}) <= 1 and len({h1(x) for x in rho}) <= 1
-        and fg_avoids(f, h0, rho, p) for rho in rhos())), None)
+        h0 & m in (0, m) and h1 & m in (0, m)
+        and _kernels.lex_least_realizer(rows, rho, prows, h0) is None
+        for rho, m in rhos())), None)
     return _result(fail, n, collect_failure)
 
 
@@ -141,8 +157,8 @@ def eval_question_disjunctive(f: FiniteColoring, sigma0: Iterable[int],
     with h."""
     ss0, ss1 = sorted(sigma0), sorted(sigma1)
     Xn = _reservoir(f, n, [ss0, ss1], X)
-    sides = [(p0, _candidates(f, ss0, Xn, p0, phi0)),
-             (p1, _candidates(f, ss1, Xn, p1, phi1))]
+    sides = [(p0.rows, _candidates(f, ss0, Xn, p0, phi0)),
+             (p1.rows, _candidates(f, ss1, Xn, p1, phi1))]
     return _result(_uncovered(f, Xn, sides), n, collect_failure)
 
 

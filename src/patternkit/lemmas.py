@@ -20,6 +20,7 @@ from .core import (
     FiniteColoring,
     PartialColoring,
     Pattern,
+    PatternError,
     _coded,
     _coloring,
     avoids,
@@ -121,14 +122,18 @@ def _sampled(name: str, count: int,
 def _swept(name: str, sizes: range,
            failures: Callable[[int, tuple[int, ...]], list[str]]) -> SuiteResult:
     """Check failures(code, rows) on every pattern of the given sizes, given
-    by its code and row masks, in code order; every pattern is a run.  No
-    Pattern is built unless a law fails on it."""
+    by its code and row masks, in code order; every pattern is a run.
+    failures returns one note per violation; a counterexample is the pattern
+    followed by its note, and only the first five are built, so a Pattern is
+    built for at most five failures."""
     bad, runs = [], 0
     for n in sizes:
         for code, rows in enumerate(_rows_by_code(n)):
-            bad += failures(code, rows)
+            for note in failures(code, rows):
+                if len(bad) < 5:
+                    bad.append(f"{_coded(n, code)}{note}")
         runs += 1 << n * (n - 1) // 2
-    return SuiteResult(name, runs, tuple(bad[:5]), skipped=runs == 0)
+    return SuiteResult(name, runs, tuple(bad), skipped=runs == 0)
 
 
 def suite_join_associative(rng: random.Random, count: int = 10_000) -> SuiteResult:
@@ -153,7 +158,7 @@ def suite_default_merging(max_size: int = 6) -> SuiteResult:
     for its last limit color; exhaustive over small sizes."""
     def failures(code, rows):
         last = rows[-1]  # bit x: the color of (x, l-1)
-        return [f"{_coded(len(rows), code)} color {i}"
+        return [(" color 0", " color 1")[i]
                 for i in (1 - (last & 1), last >> len(rows) - 2 & 1)
                 if not _i_merging(rows, i)]
     return _swept("default-merging", range(2, max_size + 1), failures)
@@ -163,7 +168,7 @@ def suite_convergent_merging(max_size: int = 6) -> SuiteResult:
     """Convergent patterns of size >= 3 are merging; exhaustive."""
     def failures(code, rows):
         holds = _divergent(rows) or (_i_merging(rows, 0) and _i_merging(rows, 1))
-        return [] if holds else [str(_coded(len(rows), code))]
+        return [] if holds else [""]
     return _swept("convergent-merging", range(3, max_size + 1), failures)
 
 
@@ -172,7 +177,7 @@ def suite_irreducibility_criterion(max_size: int = 5) -> SuiteResult:
     decomposition into a join); exhaustive."""
     def failures(code, rows):
         p = _coded(len(rows), code)
-        return [str(p)] if _irreducible(rows) == bool(decompositions(p)) else []
+        return [""] if _irreducible(rows) == bool(decompositions(p)) else []
     return _swept("irreducibility-criterion", range(1, max_size + 1), failures)
 
 
@@ -281,7 +286,21 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 def run_suites(seed: int = 0, count: int = 10_000,
                names: Optional[list[str]] = None) -> list[SuiteResult]:
-    chosen = names if names is not None else list(SUITES)
+    """Run the named suites (all of them by default), in the order given."""
+    if count < 0:
+        raise PatternError(f"count must be nonnegative, got {count}")
+    # a suite's generator is seeded with seed ^ crc32(name), and
+    # random.Random seeds from its absolute value: a negative seed would
+    # replay another seed's stream (-2 replays seed 0's join-associative)
+    if seed < 0:
+        raise PatternError(f"seed must be nonnegative, got {seed}")
+    chosen = list(names) if names is not None else list(SUITES)
+    repeated = next((n for k, n in enumerate(chosen) if n in chosen[:k]), None)
+    if repeated is not None:
+        raise PatternError(f"suite {repeated!r} named twice")
+    unknown = [n for n in chosen if n not in SUITES]
+    if unknown:
+        raise PatternError(f"unknown suites: {', '.join(unknown)}")
     results = []
     for name in chosen:
         rng = random.Random(seed ^ zlib.crc32(name.encode()))

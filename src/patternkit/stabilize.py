@@ -156,11 +156,14 @@ def greedy_avoid_join(f: FiniteColoring, H: Iterable[int], p: Pattern,
             f"H does not avoid the joined pattern; realizer {sorted(witness)}")
 
     # avoidance is closed downward, so a rejected z stays rejected once the
-    # prefix grows: one ascending pass picks what rescanning would
+    # prefix grows: one ascending pass picks what rescanning would.  The
+    # prefix avoids p, so chosen + [z] does unless z tops a realizer.
+    rows, prows = f.rows, p.rows
     chosen: list[int] = []
     remaining: list[int] = []
     for z in hs:
-        (chosen if avoids(f, chosen + [z], p) else remaining).append(z)
+        admissible = _kernels.lex_least_realizer(rows, chosen, prows, rows[z]) is None
+        (chosen if admissible else remaining).append(z)
 
     if not remaining:
         return GreedySplit("p", frozenset(chosen), avoids(f, chosen, p), False)

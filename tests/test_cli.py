@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from patternkit.constructions import KNOWN_CHECKS
 from patternkit.core import constant_coloring
 from patternkit.io import format_coloring, format_tree, parse_coloring, parse_record
 from patternkit.stabilize import full_binary_tree
+from conftest import random_coloring
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +233,35 @@ class TestForceEval:
         assert rec["least_bound"] == "3"
 
 
+# force-eval stdout pinned before the evaluators tested colorings as masks
+# with the realizer kernel: the omega worst case at k=12 (constant-0 coloring,
+# reservoir 1..12), a false omega verdict at k=12 and a false i verdict at
+# k=8, on the colorings random_coloring draws from Random(seed)
+FORCE_EVAL_PINS = [
+    (None, ["omega", "3:111", "size>=12", "--reservoir", "1,2,3,4,5,6,7,8,9,10,11,12",
+            "--bound", "12"],
+     "question:omega bound:12 verdict:1\n"),
+    ((1, 13), ["omega", "3:010", "size>=7", "--stem", "0",
+               "--reservoir", "1,2,3,4,5,6,7,8,9,10,11,12", "--bound", "12"],
+     "question:omega bound:12 verdict:0 failing_g:0011001001000\n"),
+    ((2, 10), ["i", "3:011", "size>=3", "--stem", "0", "--reservoir", "1,2,3,4,5,6,7,8",
+               "--bound", "8"],
+     "question:i bound:8 verdict:0 failing_h0:011100111 failing_h1:000101110\n"),
+]
+
+
+@pytest.mark.parametrize("drawn, argv, expected", FORCE_EVAL_PINS,
+                         ids=["omega-k12", "omega-k12-false", "i-k8-false"])
+def test_force_eval_pinned(capsys, tmp_path, time_limit, drawn, argv, expected):
+    f = constant_coloring(16) if drawn is None else \
+        random_coloring(random.Random(drawn[0]), drawn[1])
+    path = tmp_path / "coloring.txt"
+    path.write_text(format_coloring(f))
+    kind, *rest = argv
+    code, out, _ = run_cli(capsys, "force-eval", kind, str(path), *rest)
+    assert code == 0 and out == expected
+
+
 class TestTree2Col:
     def test_full_tree(self, capsys, tmp_path):
         path = tmp_path / "tree.txt"
@@ -252,6 +283,7 @@ class TestVerifyLemmas:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemmas", "--suites", "nope")
         assert code == 2
+        assert err == "error: unknown suites: nope\n"
 
 
 class TestInputErrors:
@@ -341,7 +373,7 @@ class TestInputErrors:
         # join-divergence stream
         err = self.assert_user_error(capsys, "verify-lemmas", "--count", "1",
                                      "--seed", seed)
-        assert f"--seed must be nonnegative, got {seed}" in err
+        assert f"seed must be nonnegative, got {seed}" in err
 
     @pytest.mark.parametrize("suites, name", [
         ("duality,duality", "duality"),
@@ -350,7 +382,13 @@ class TestInputErrors:
     def test_repeated_suite_entry(self, capsys, suites, name):
         err = self.assert_user_error(capsys, "verify-lemmas", "--count", "1",
                                      "--suites", suites)
-        assert f"repeated entry {name!r} in --suites {suites!r}" in err
+        assert f"suite {name!r} named twice" in err
+
+    def test_negative_reservoir_element(self, capsys, coloring_file):
+        err = self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
+                                     "2:0", "size>=2", "--reservoir=-3,1,2",
+                                     "--bound", "2")
+        assert "reservoir element -3 is negative" in err
 
     @pytest.mark.parametrize("kind, option, value", [
         ("omega", "--stem1", "1"),

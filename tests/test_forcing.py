@@ -180,6 +180,23 @@ class TestStemChecks:
                 evaluate()
 
 
+class TestReservoirChecks:
+    @pytest.mark.parametrize("X, least", [([-3, 1, 2], -3), ([-1], -1), ([2, -5, -2], -5)])
+    def test_negative_reservoir_element_rejected(self, X, least):
+        # a negative element lies outside every window; it is an error, as a
+        # stem element outside the window is, not an element to drop
+        f = constant_coloring(10)
+        phi = pred_size_at_least(2)
+        p = parse_pattern("2:0")
+        for evaluate in (
+            lambda: eval_question_omega(f, [], X, p, phi, 2),
+            lambda: eval_question_i(f, [], X, p, phi, 2),
+            lambda: eval_question_disjunctive(f, [], [], X, p, p, phi, phi, 2),
+        ):
+            with pytest.raises(PatternError, match=f"reservoir element {least} is negative"):
+                evaluate()
+
+
 class TestRepeatedReservoirVertices:
     def test_reservoir_is_a_set(self):
         # a repeated reservoir vertex must not let rho hold it twice

@@ -1,7 +1,7 @@
 """The forcing evaluators against the loops they replace.
 
 The evaluators scan, per side, only the rho that avoid p and make phi fire,
-and test each coloring with fg_avoids on those.  The oracle here is the
+and test each coloring, as a mask, on those with the realizer kernel.  The oracle here is the
 direct definition: for each coloring in itertools.product order, every rho
 by size and then lexicographically, tested with fg_avoids and phi (and
 homogeneity under h0 and h1 for the i-question; side 0 then side 1 for the

@@ -92,7 +92,7 @@ def test_cli_import_loads_only_core_and_io():
     (["simulate", "dnc", "{oracle}", "--stages", "20"], {"constructions"}),
     (["avoid-search", "{coloring}", "3:010"], {"stabilize", "algebra"}),
     (["force-eval", "omega", "{coloring}", "3:111", "size>=3", "--bound", "4"],
-     {"forcing", "stabilize", "algebra"}),
+     {"forcing"}),
     (["census", "3"], {"classifier", "algebra"}),
 ], ids=["simulate-dnc", "avoid-search", "force-eval", "census"])
 def test_command_loads_only_its_modules(tmp_path, argv, modules):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import zlib
 
 import pytest
@@ -10,6 +11,7 @@ from patternkit.core import (
     FiniteColoring,
     PartialColoring,
     Pattern,
+    PatternError,
     coloring_from_function,
     constant_coloring,
     flip,
@@ -34,6 +36,18 @@ class TestSuites:
     def test_selected_suites_only(self):
         results = run_suites(seed=0, count=50, names=["duality"])
         assert len(results) == 1 and results[0].name == "duality"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"count": -5}, "count must be nonnegative, got -5"),
+        ({"seed": -2}, "seed must be nonnegative, got -2"),
+        ({"names": ["duality", "nope", "nor-this"]}, "unknown suites: nope, nor-this"),
+        ({"names": ["duality", "join-divergence", "duality"]}, "suite 'duality' named twice"),
+    ], ids=["negative-count", "negative-seed", "unknown-name", "repeated-name"])
+    def test_rejects_bad_arguments(self, kwargs, message):
+        # a negative count used to report every sampled suite passed with 0
+        # runs, and seed -2 replays seed 0's join-associative stream
+        with pytest.raises(PatternError, match=f"^{re.escape(message)}$"):
+            run_suites(**kwargs)
 
     def test_zero_iterations_flagged_skipped(self):
         results = run_suites(seed=0, count=0, names=["join-associative"])
@@ -119,13 +133,23 @@ class TestCounterexampleLimit:
         assert len(result.counterexamples) == 5 and not result.passed
 
     def test_sweep_keeps_five(self, monkeypatch):
-        # two counterexamples for each of the 33,866 patterns of sizes 2-6
+        # two counterexamples for each of the 33,866 patterns of sizes 2-6,
+        # of which only the five reported are formatted
+        built = []
+        real_coded = lemmas._coded
+
+        def coded(size, code):
+            built.append((size, code))
+            return real_coded(size, code)
+
         monkeypatch.setattr(lemmas, "_i_merging", lambda rows, i: False)
+        monkeypatch.setattr(lemmas, "_coded", coded)
         result = lemmas.suite_default_merging()
         assert result.runs == 33_866
         assert result.counterexamples == ("2:0 color 1", "2:0 color 0",
                                           "2:1 color 0", "2:1 color 1",
                                           "3:000 color 1")
+        assert len(built) <= 5
 
 
 class TestDuality:

@@ -5,6 +5,7 @@ import pytest
 
 from patternkit.core import (
     PartialColoring,
+    Pattern,
     PatternError,
     avoids,
     coloring_from_function,
@@ -343,7 +344,8 @@ class TestTrees:
 
 def _old_greedy_avoid_join(f, H, p, q):
     """greedy_avoid_join with its former pick loop, which rescanned the
-    remaining elements after every pick."""
+    remaining elements after every pick and tested each extension by plain
+    avoidance of chosen + [z]."""
     hs = sorted(H)
     if find_realizer(f, hs, join(p, q)) is not None:
         raise PatternError("H does not avoid the joined pattern")
@@ -407,3 +409,17 @@ class TestGreedyPickLoopDifferential:
             f = random_coloring(rng, n)
             H = rng.sample(range(n), rng.randint(1, n))
             self._agree(f, H, rng.choice(pool), rng.choice(pool))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_random_patterns(self, seed):
+        # the admissibility step asks the kernel for a realizer topped by z;
+        # 400 instances per seed on windows 3-12, p and q of any shape of
+        # sizes 1-4, H of any size (those realizing p ⊎ q are rejected by both)
+        rng = random.Random(seed)
+        for _ in range(400):
+            n = rng.randint(3, 12)
+            f = random_coloring(rng, n)
+            H = rng.sample(range(n), rng.randint(0, n))
+            p, q = (Pattern(k, tuple(rng.randint(0, 1) for _ in range(k * (k - 1) // 2)))
+                    for k in (rng.randint(1, 4), rng.randint(1, 4)))
+            self._agree(f, H, p, q)
