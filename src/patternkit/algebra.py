@@ -19,8 +19,8 @@ column colours i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import Pattern, PatternError, _coded
 
@@ -120,8 +120,7 @@ def is_merging(p: Pattern) -> bool:
     return is_i_merging(p, 0) and is_i_merging(p, 1)
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
+class ClassificationFlags(NamedTuple):
     divergent: bool
     irreducible: bool
     merging0: bool

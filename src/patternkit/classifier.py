@@ -25,11 +25,10 @@ takes a mode; the verdicts, reports and census take none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple, Optional
 
-from .core import Pattern, PatternError, _coded, _gather, format_pattern, vertex_maps
+from .core import Pattern, PatternError, _coded, _gather, _Record, format_pattern, vertex_maps
 from .algebra import ClassificationFlags, classify
 
 MAX_PAIR_BITS = 28  # enumeration guard: C(l,2) <= 28, i.e. l <= 8
@@ -102,14 +101,17 @@ def preserves_omega_2dim(p: Pattern) -> bool:
     return "omega_2dim" in _least_witnesses(p, {})
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    pattern: Pattern
-    flags: ClassificationFlags
-    verdict_omega_hyp: bool
-    verdict_one_2dim: bool
-    verdict_omega_2dim: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
+class ClassificationReport(_Record):
+    __slots__ = _fields = ("pattern", "flags", "verdict_omega_hyp", "verdict_one_2dim",
+                           "verdict_omega_2dim", "witnesses")
+
+    def __init__(self, pattern: Pattern, flags: ClassificationFlags,
+                 verdict_omega_hyp: bool, verdict_one_2dim: bool,
+                 verdict_omega_2dim: bool, witnesses: Optional[dict[str, str]] = None):
+        values = (pattern, flags, verdict_omega_hyp, verdict_one_2dim, verdict_omega_2dim,
+                  {} if witnesses is None else witnesses)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 def report(p: Pattern) -> ClassificationReport:
@@ -128,8 +130,7 @@ def report(p: Pattern) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     pattern: Pattern
     flags: ClassificationFlags
     omega_hyp: bool

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .core import (
     PatternError,
+    _ascii_digits,
     format_pattern,
     parse_pattern,
 )
@@ -59,11 +60,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _int_list(text: str, option: str) -> list[int]:
-    """Sorted integers of a comma-separated option value; empty text gives []."""
-    try:
-        return sorted(int(x) for x in text.split(",")) if text else []
-    except ValueError:
-        raise PatternError(f"{option} must be comma-separated integers, got {text!r}") from None
+    """Sorted integers of a comma-separated option value, each an optional
+    '-' and ASCII digits; empty text gives []."""
+    xs = text.split(",") if text else []
+    if not all(_ascii_digits(x.removeprefix("-")) for x in xs):
+        raise PatternError(f"{option} must be comma-separated integers, got {text!r}")
+    return sorted(map(int, xs))
 
 
 def cmd_classify(args) -> int:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernels
 from .core import (
@@ -23,8 +21,13 @@ from .core import (
     PatternError,
     StableColoring,
     _coded,
+    _Record,
     minus,
 )
+
+# only the measure checks, which report exact measures, import fractions
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # requirement indexing
@@ -79,8 +82,7 @@ def h_bound(k: int) -> int:
 # mock oracle types
 
 
-@dataclass(frozen=True)
-class ApproxOracle:
+class ApproxOracle(_Record):
     """Stage-indexed enumeration approximations, one set per (index, stage).
 
     Entries are (e, from_stage, elements); at stage s the latest entry for e
@@ -89,7 +91,10 @@ class ApproxOracle:
     entries.
     """
 
-    entries: tuple[tuple[int, int, frozenset[int]], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, frozenset[int]], ...]):
+        object.__setattr__(self, "entries", entries)
 
     def query(self, e: int, s: int) -> frozenset[int]:
         best: Optional[tuple[int, frozenset[int]]] = None
@@ -114,18 +119,18 @@ def age(o: ApproxOracle, e: int, x: int, s: int) -> Optional[int]:
     return t
 
 
-@dataclass(frozen=True)
-class PrefixFunctional:
+class PrefixFunctional(_Record):
     """Prefix-monotone enumeration: output(sigma, s) is the union of the
     entry outputs whose prefix is an initial segment of sigma and whose
     stage has been reached.  Monotone in both arguments by construction."""
 
-    entries: tuple[tuple[str, int, frozenset[int]], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        for tau, _s0, _out in self.entries:
+    def __init__(self, entries: tuple[tuple[str, int, frozenset[int]], ...]):
+        for tau, _s0, _out in entries:
             if tau.strip("01"):
                 raise PatternError(f"entry prefix {tau!r} is not a binary string")
+        object.__setattr__(self, "entries", entries)
 
     def output(self, sigma: str, s: int) -> frozenset[int]:
         out: set[int] = set()
@@ -154,6 +159,8 @@ def prefix_free_cover(prefixes: Iterable[str]) -> list[str]:
 
 def cover_measure(prefixes: Iterable[str]) -> Fraction:
     """Exact measure of the union of the cylinders."""
+    from fractions import Fraction
+
     return sum((Fraction(1, 2 ** len(t)) for t in prefix_free_cover(prefixes)),
                Fraction(0))
 
@@ -164,8 +171,10 @@ def requires_attention_measure(state: Sequence[Iterable[int]],
     """Measure of oracles producing an element of [m, s] exceeds 1 - 1/(2|p|)."""
     if len(state) >= p.size:
         return False
-    targets = frozenset(range(m, s + 1))
-    return cover_measure(fn.qualifying_prefixes(s, targets)) > 1 - Fraction(1, 2 * p.size)
+    cover = prefix_free_cover(fn.qualifying_prefixes(s, frozenset(range(m, s + 1))))
+    # sum of 2^-|t| > 1 - 1/(2|p|), scaled by 2|p| * 2^L to integers
+    L = max(map(len, cover), default=0)
+    return 2 * p.size * sum(1 << L - len(t) for t in cover) > (2 * p.size - 1) << L
 
 
 def joint_meeting_measure(fn: PrefixFunctional, s: int,
@@ -183,34 +192,35 @@ def joint_meeting_measure(fn: PrefixFunctional, s: int,
     return cover_measure(meet)
 
 
-@dataclass(frozen=True)
-class BiArrayFunctional:
+class BiArrayFunctional(_Record):
     """Bi-array of finite sets with convergence stages.
 
     primary entries (n, stage, E) require min E > n; secondary entries
     (n, m, stage, F) require min F > m.
     """
 
-    primary: tuple[tuple[int, int, frozenset[int]], ...] = ()
-    secondary: tuple[tuple[int, int, int, frozenset[int]], ...] = ()
-    # per key, its (stage, set) entries in tuple order; built once, since
-    # the builders ask for the same keys at every stage
-    _by_n: dict = field(init=False, repr=False, compare=False)
-    _by_nm: dict = field(init=False, repr=False, compare=False)
+    _fields = ("primary", "secondary")
+    # _by_n and _by_nm hold, per key, its (stage, set) entries in tuple
+    # order; built once, since the builders ask for the same keys at every
+    # stage, and left out of equality, hash and repr
+    __slots__ = _fields + ("_by_n", "_by_nm")
 
-    def __post_init__(self):
-        for n, _s, E in self.primary:
+    def __init__(self, primary: tuple[tuple[int, int, frozenset[int]], ...] = (),
+                 secondary: tuple[tuple[int, int, int, frozenset[int]], ...] = ()):
+        for n, _s, E in primary:
             if E and min(E) <= n:
                 raise PatternError(f"primary entry for {n} must have min > {n}")
-        for _n, m, _s, F in self.secondary:
+        for _n, m, _s, F in secondary:
             if F and min(F) <= m:
                 raise PatternError(f"secondary entry for (.,{m}) must have min > {m}")
         by_n: dict[int, list] = {}
-        for n, s0, elems in self.primary:
+        for n, s0, elems in primary:
             by_n.setdefault(n, []).append((s0, elems))
         by_nm: dict[tuple[int, int], list] = {}
-        for n, m, s0, elems in self.secondary:
+        for n, m, s0, elems in secondary:
             by_nm.setdefault((n, m), []).append((s0, elems))
+        object.__setattr__(self, "primary", primary)
+        object.__setattr__(self, "secondary", secondary)
         object.__setattr__(self, "_by_n", dict(sorted(by_n.items())))
         object.__setattr__(self, "_by_nm", dict(sorted(by_nm.items())))
 
@@ -239,8 +249,7 @@ class BiArrayFunctional:
 # traces
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     stage: int
     kind: str           # act / restrain / attention / injury / marker / commit / color
     requirement: str
@@ -257,13 +266,23 @@ def _detail(**kwargs) -> tuple[tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in kwargs.items())
 
 
-@dataclass
-class ConstructionTrace:
-    builder: str        # dnc / measure / stable2dim
-    stages: int
-    events: tuple[TraceEvent, ...]
-    final: dict = field(default_factory=dict)
-    aux: dict = field(default_factory=dict)   # what the measure checks read
+class ConstructionTrace(_Record):
+    """A builder's events and final state; unlike the other records, its
+    fields can be reassigned, so it has no hash."""
+
+    # builder: dnc / measure / stable2dim; aux: what the measure checks read
+    __slots__ = _fields = ("builder", "stages", "events", "final", "aux")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, builder: str, stages: int, events: tuple[TraceEvent, ...],
+                 final: Optional[dict] = None, aux: Optional[dict] = None):
+        self.builder = builder
+        self.stages = stages
+        self.events = events
+        self.final = {} if final is None else final
+        self.aux = {} if aux is None else aux
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +536,14 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
 # trace verification
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     stage: Optional[int] = None
     message: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     results: tuple[CheckResult, ...]
 
     @property
@@ -602,6 +619,8 @@ def _check_p1(trace: ConstructionTrace, f) -> CheckResult:
 def _check_p2(trace: ConstructionTrace, f) -> CheckResult:
     if trace.builder != "measure":
         return CheckResult("p2", True, message="not applicable")
+    from fractions import Fraction
+
     fns = {f"R[{j}]": fn for j, fn in enumerate(trace.aux["functionals"])}
     patterns = {f"R[{j}]": p for j, p in enumerate(trace.aux["patterns"])}
     s = trace.stages - 1

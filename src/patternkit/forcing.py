@@ -22,17 +22,15 @@ candidate passes the witnessed test is the failure witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernels
-from .core import FiniteColoring, Pattern, PatternError
+from .core import FiniteColoring, Pattern, PatternError, _ascii_digits
 
 MAX_BOUND = 14
 
 
-@dataclass(frozen=True)
-class BoundedPredicate:
+class BoundedPredicate(NamedTuple):
     """A decidable predicate phi(F) on finite sets."""
 
     name: str
@@ -208,13 +206,12 @@ def pred_homogeneous(f: FiniteColoring, color: int, min_size: int = 2) -> Bounde
 
 def catalogue_predicate(spec: str, f: Optional[FiniteColoring] = None) -> BoundedPredicate:
     """Parse a predicate description: true, false, size>=K, contains:V,
-    homogeneous:C[:MIN]."""
+    homogeneous:C[:MIN], with K, V, C and MIN in ASCII digits."""
     def integer(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise PatternError(f"predicate {spec!r} needs integer parameters, "
-                               f"got {text!r}") from None
+        if not _ascii_digits(text):
+            raise PatternError(f"predicate {spec!r} needs nonnegative integer "
+                               f"parameters, got {text!r}")
+        return int(text)
 
     if spec == "true":
         return pred_true()

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     FiniteColoring,
@@ -46,8 +45,7 @@ from .stabilize import fg_avoids
 ATTEMPTS_PER_RUN = 100
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     runs: int
     counterexamples: tuple[str, ...] = ()

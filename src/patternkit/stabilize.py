@@ -9,8 +9,7 @@ so the computability-theoretic side conditions of the original setting
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import _kernels
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     Pattern,
     PatternError,
     _check_window_subset,
+    _Record,
     avoids,
     coloring_from_function,
     find_realizer,
@@ -77,8 +77,7 @@ def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],
     return frozenset(classes[best_vec]), g
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(_Record):
     """A stem/reservoir pair with a stabilization witness.
 
     The reservoir is a finite window slice standing in for the infinite
@@ -86,15 +85,17 @@ class Condition:
     side condition at this scale.
     """
 
-    stem: frozenset[int]
-    reservoir: frozenset[int]
-    witness: PartialColoring
+    __slots__ = _fields = ("stem", "reservoir", "witness")
 
-    def __post_init__(self):
-        if self.stem and self.reservoir and max(self.stem) >= min(self.reservoir):
+    def __init__(self, stem: frozenset[int], reservoir: frozenset[int],
+                 witness: PartialColoring):
+        if stem and reservoir and max(stem) >= min(reservoir):
             raise PatternError("reservoir must lie entirely above the stem")
-        if not self.witness.defined_on(self.stem):
+        if not witness.defined_on(stem):
             raise PatternError("witness must be defined on the stem")
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "reservoir", reservoir)
+        object.__setattr__(self, "witness", witness)
 
 
 def is_valid_condition(f: FiniteColoring, c: Condition, p: Pattern) -> bool:
@@ -131,8 +132,7 @@ def extend_condition(f: FiniteColoring, c: Condition, x: int, p: Pattern) -> Con
     return new
 
 
-@dataclass(frozen=True)
-class GreedySplit:
+class GreedySplit(NamedTuple):
     side: str                  # "p" or "q"
     elements: frozenset[int]
     verified: bool
@@ -190,14 +190,13 @@ def max_avoiding_subset(f: FiniteColoring, W: Iterable[int], p: Pattern) -> froz
 # binary trees and the tree-to-coloring transform
 
 
-@dataclass(frozen=True)
-class BinaryTree:
+class BinaryTree(_Record):
     """A finite, prefix-closed set of binary strings."""
 
-    nodes: frozenset[str]
+    __slots__ = _fields = ("nodes",)
 
-    def __post_init__(self):
-        ns = frozenset(self.nodes)
+    def __init__(self, nodes: frozenset[str]):
+        ns = frozenset(nodes)
         if "" not in ns:
             raise PatternError("tree must contain the root (empty string)")
         for s in ns:

@@ -332,8 +332,22 @@ class TestInputErrors:
             self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
                                    "2:0", "true", option, "1,,2")
 
+    # int() would read all but the last as 0, 10, 1 and 1
+    @pytest.mark.parametrize("value", ["\uff10,2", "1_0", "+1", " 1", "--1"])
+    def test_integer_lists_ascii_digits_only(self, capsys, coloring_file, value):
+        err = self.assert_user_error(capsys, "avoid-search", coloring_file, "2:0",
+                                     f"--elements={value}")
+        assert f"--elements must be comma-separated integers, got {value!r}" in err
+        for option in ("--reservoir", "--stem", "--stem1"):
+            err = self.assert_user_error(capsys, "force-eval", "disjunctive", coloring_file,
+                                         "2:0", "true", f"{option}={value}")
+            assert f"{option} must be comma-separated integers, got {value!r}" in err
+
     @pytest.mark.parametrize("spec", ["size>=x", "contains:q", "homogeneous:a",
-                                      "homogeneous:0:z", "homogeneous:", "homogeneous:5"])
+                                      "homogeneous:0:z", "homogeneous:", "homogeneous:5",
+                                      "size>=1_0", "size>=\uff12", "size>= 2",
+                                      "homogeneous:+1", "contains:-1", "homogeneous:0:-2",
+                                      "size>=-1"])
     def test_bad_predicate_parameters(self, capsys, coloring_file, spec):
         self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
                                "2:0", spec, "--reservoir", "1,2", "--bound", "2")

@@ -10,6 +10,7 @@ from patternkit import _kernels
 from patternkit.core import (
     FiniteColoring,
     PatternError,
+    _coded,
     constant_coloring,
     find_realizer,
     minus,
@@ -543,6 +544,32 @@ class TestMeasures:
         fn = PrefixFunctional((("0", 0, frozenset({3})),))
         for text in ("2:0", "3:010", "4:000101"):
             assert not requires_attention_measure([], fn, 0, 9, parse_pattern(text))
+
+    # the builder decides attention in integers; the oracle is the exact
+    # measure compared as a Fraction
+    @staticmethod
+    def attention_agrees(prefixes, s):
+        fn = PrefixFunctional(tuple((tau, 0, frozenset({0})) for tau in prefixes))
+        mu = cover_measure(prefixes)
+        for size in range(2, 7):
+            want = mu > 1 - Fraction(1, 2 * size)
+            assert requires_attention_measure([], fn, 0, s, _coded(size, 0)) == want, \
+                (prefixes, size)
+
+    def test_attention_matches_fractions_exhaustively(self):
+        # every set of binary strings of length <= 3
+        strings = ["".join(bits) for n in range(4) for bits in itertools.product("01", repeat=n)]
+        for mask in range(1 << len(strings)):
+            self.attention_agrees([t for i, t in enumerate(strings) if mask >> i & 1], 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_attention_matches_fractions_random(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            # the empty prefix covers everything, so it comes in one set in 20
+            prefixes = ["".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+                        for _ in range(rng.randint(0, 40))]
+            self.attention_agrees(prefixes + [""] * (rng.randrange(20) == 0), 12)
 
     def test_attention_stops_at_full_state(self):
         fn = PrefixFunctional((("", 0, frozenset({3})),))

@@ -54,11 +54,20 @@ class TestPredicates:
         with pytest.raises(PatternError):
             catalogue_predicate("whatever")
 
+    # int() would read the second row as 10, 2, 2, 1, -1, -2 and -1
     @pytest.mark.parametrize("spec", ["size>=x", "contains:q", "homogeneous:a",
-                                      "homogeneous:0:z", "homogeneous:"])
+                                      "homogeneous:0:z", "homogeneous:",
+                                      "size>=1_0", "size>=\uff12", "size>= 2", "homogeneous:+1",
+                                      "contains:-1", "homogeneous:0:-2", "size>=-1"])
     def test_catalogue_non_integer_parameter(self, spec):
         with pytest.raises(PatternError, match=re.escape(repr(spec))):
             catalogue_predicate(spec, f=constant_coloring(4))
+
+    def test_catalogue_reads_ascii_digits(self):
+        f = constant_coloring(4)
+        assert catalogue_predicate("size>=10").name == "size>=10"
+        assert catalogue_predicate("contains:0").name == "contains:0"
+        assert catalogue_predicate("homogeneous:1:03", f=f).name == "homogeneous:1:3"
 
     @pytest.mark.parametrize("spec", ["homogeneous:5", "homogeneous:-1:2", "homogeneous:0:2:2"])
     def test_catalogue_rejects_bad_homogeneity(self, spec):

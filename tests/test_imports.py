@@ -2,7 +2,9 @@
 
 `patternkit/__init__.py` loads a submodule only when one of its names is
 first read, and each CLI command imports only the modules it runs, so a cold
-start compiles and executes no module the command does not use.
+start compiles and executes no module the command does not use.  No command
+loads `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize`, about 10 ms
+a process), and only the measure checks load `fractions`.
 """
 
 import importlib
@@ -15,9 +17,9 @@ from pathlib import Path
 import pytest
 
 import patternkit
-from patternkit.constructions import ApproxOracle
+from patternkit.constructions import ApproxOracle, BiArrayFunctional
 from patternkit.core import constant_coloring
-from patternkit.io import format_approx_oracle, format_coloring
+from patternkit.io import format_approx_oracle, format_biarray_oracle, format_coloring
 
 SRC = str(Path(patternkit.__file__).parents[1])
 
@@ -66,12 +68,17 @@ EXPORTS = {
 STARTUP = {"patternkit", "patternkit.cli", "patternkit.core", "patternkit._kernels",
            "patternkit.io"}
 
-LOADED = "sorted(m for m in sys.modules if m == 'patternkit' or m.startswith('patternkit.'))"
+# standard modules that no command's import path may load; every test below
+# that compares loaded_after() with a set of patternkit modules also checks
+# that none of these was loaded
+SLOW = ("dataclasses", "inspect", "fractions")
+LOADED = ("sorted(m for m in sys.modules if m == 'patternkit' "
+          f"or m.startswith('patternkit.') or m in {SLOW!r})")
 
 
 def loaded_after(code: str) -> set[str]:
-    """The patternkit modules a fresh interpreter holds after running code,
-    which must not print to stdout."""
+    """The patternkit modules, and those of SLOW, that a fresh interpreter
+    holds after running code, which must not print to stdout."""
     env = dict(os.environ, PYTHONPATH=SRC)
     script = f"import json, sys\n{code}\nprint(json.dumps({LOADED}))"
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -96,16 +103,41 @@ def test_cli_import_loads_only_core_and_io():
     (["census", "3"], {"classifier", "algebra"}),
 ], ids=["simulate-dnc", "avoid-search", "force-eval", "census"])
 def test_command_loads_only_its_modules(tmp_path, argv, modules):
+    assert loaded_after(run_cli(tmp_path, argv)) == \
+        STARTUP | {f"patternkit.{m}" for m in modules}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "stable2dim", "{biarray}", "--stages", "12"],
+    ["verify-lemmas", "--count", "5"],
+], ids=["simulate-stable2dim", "verify-lemmas"])
+def test_command_loads_no_dataclasses(tmp_path, argv):
+    assert not loaded_after(run_cli(tmp_path, argv)) & {"dataclasses", "inspect"}
+
+
+def run_cli(tmp_path, argv) -> str:
+    """Code that runs the CLI on argv, with {oracle}, {biarray} and
+    {coloring} standing for small input files, and discards its stdout."""
     oracle = tmp_path / "oracle.txt"
     oracle.write_text(format_approx_oracle(ApproxOracle(((0, 0, frozenset(range(8))),))))
+    biarray = tmp_path / "biarray.txt"
+    biarray.write_text(format_biarray_oracle([BiArrayFunctional(
+        ((0, 1, frozenset({2, 3})),), ((0, 3, 4, frozenset({5, 6})),))]))
     coloring = tmp_path / "coloring.txt"
     coloring.write_text(format_coloring(constant_coloring(8)))
-    argv = [a.format(oracle=oracle, coloring=coloring) for a in argv]
-    code = ("import contextlib, io\n"
+    argv = [a.format(oracle=oracle, biarray=biarray, coloring=coloring) for a in argv]
+    return ("import contextlib, io\n"
             "from patternkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0")
-    assert loaded_after(code) == STARTUP | {f"patternkit.{m}" for m in modules}
+
+
+def test_oracle_parsers_load_no_fractions():
+    code = ("from patternkit import io\n"
+            "io.parse_approx_oracle('0 0 1,2')\n"
+            "io.parse_measure_oracle('functional 3:010\\n- 0 1')\n"
+            "io.parse_biarray_oracle('functional\\nE 0 1 2\\nF 0 1 2 3')")
+    assert loaded_after(code) == STARTUP - {"patternkit.cli"} | {"patternkit.constructions"}
 
 
 def test_every_export_resolves_to_its_submodule_object():
