@@ -28,7 +28,8 @@ class PatternError(ValueError):
 
 class _Record:
     """Base of the validated record types, which the package defines without
-    `dataclasses` (importing it costs every command about 10 ms).
+    `dataclasses`: importing it would load `inspect`, `ast`, `dis` and
+    `tokenize` on every command's cold start.
 
     A subclass names its fields in `_fields`, in order, and holds them in
     `__slots__`; its __init__ checks them and sets them with

@@ -87,6 +87,23 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(res.stdout.splitlines()[-1]))
 
 
+def cli_code(tmp_path, argv) -> str:
+    """Code that runs the CLI on argv, with {oracle}, {biarray} and
+    {coloring} standing for small input files, and discards its stdout."""
+    oracle = tmp_path / "oracle.txt"
+    oracle.write_text(format_approx_oracle(ApproxOracle(((0, 0, frozenset(range(8))),))))
+    biarray = tmp_path / "biarray.txt"
+    biarray.write_text(format_biarray_oracle([BiArrayFunctional(
+        ((0, 1, frozenset({2, 3})),), ((0, 3, 4, frozenset({5, 6})),))]))
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text(format_coloring(constant_coloring(8)))
+    argv = [a.format(oracle=oracle, biarray=biarray, coloring=coloring) for a in argv]
+    return ("import contextlib, io\n"
+            "from patternkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+
+
 def test_package_import_loads_no_submodule():
     assert loaded_after("import patternkit") == {"patternkit"}
 
@@ -103,7 +120,7 @@ def test_cli_import_loads_only_core_and_io():
     (["census", "3"], {"classifier", "algebra"}),
 ], ids=["simulate-dnc", "avoid-search", "force-eval", "census"])
 def test_command_loads_only_its_modules(tmp_path, argv, modules):
-    assert loaded_after(run_cli(tmp_path, argv)) == \
+    assert loaded_after(cli_code(tmp_path, argv)) == \
         STARTUP | {f"patternkit.{m}" for m in modules}
 
 
@@ -112,24 +129,7 @@ def test_command_loads_only_its_modules(tmp_path, argv, modules):
     ["verify-lemmas", "--count", "5"],
 ], ids=["simulate-stable2dim", "verify-lemmas"])
 def test_command_loads_no_dataclasses(tmp_path, argv):
-    assert not loaded_after(run_cli(tmp_path, argv)) & {"dataclasses", "inspect"}
-
-
-def run_cli(tmp_path, argv) -> str:
-    """Code that runs the CLI on argv, with {oracle}, {biarray} and
-    {coloring} standing for small input files, and discards its stdout."""
-    oracle = tmp_path / "oracle.txt"
-    oracle.write_text(format_approx_oracle(ApproxOracle(((0, 0, frozenset(range(8))),))))
-    biarray = tmp_path / "biarray.txt"
-    biarray.write_text(format_biarray_oracle([BiArrayFunctional(
-        ((0, 1, frozenset({2, 3})),), ((0, 3, 4, frozenset({5, 6})),))]))
-    coloring = tmp_path / "coloring.txt"
-    coloring.write_text(format_coloring(constant_coloring(8)))
-    argv = [a.format(oracle=oracle, biarray=biarray, coloring=coloring) for a in argv]
-    return ("import contextlib, io\n"
-            "from patternkit.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0")
+    assert not loaded_after(cli_code(tmp_path, argv)) & {"dataclasses", "inspect"}
 
 
 def test_oracle_parsers_load_no_fractions():
