@@ -13,12 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import (
-    PatternError,
-    _ascii_digits,
-    format_pattern,
-    parse_pattern,
-)
+from .core import PatternError, format_pattern, integer, parse_pattern
 from . import io as pio
 # each command imports the module it runs; patternkit.cli.<name> still
 # resolves every public name, through the package's one export table
@@ -60,12 +55,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _int_list(text: str, option: str) -> list[int]:
-    """Sorted integers of a comma-separated option value, each an optional
-    '-' and ASCII digits; empty text gives []."""
-    xs = text.split(",") if text else []
-    if not all(_ascii_digits(x.removeprefix("-")) for x in xs):
-        raise PatternError(f"{option} must be comma-separated integers, got {text!r}")
-    return sorted(map(int, xs))
+    """Sorted integers of a comma-separated option value; empty text gives []."""
+    try:
+        return sorted(map(integer, text.split(","))) if text else []
+    except PatternError:
+        raise PatternError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_classify(args) -> int:
@@ -332,8 +326,15 @@ def cmd_verify_lemmas(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit status 2, like a PatternError."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="patternkit",
         description="Pattern calculus for Ramsey-like pair colorings: "
                     "classification, constructions, forcing questions.")
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("census", help="classify every pattern of a given size")
-    sp.add_argument("size", type=int)
+    sp.add_argument("size", type=integer)
     sp.add_argument("--no-verdicts", action="store_true")
     add_format(sp)
     sp.set_defaults(fn=cmd_census)
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a priority-construction builder")
     sp.add_argument("kind", choices=("dnc", "measure", "stable2dim"))
     sp.add_argument("oracle", help="oracle table file")
-    sp.add_argument("--stages", type=int, required=True)
+    sp.add_argument("--stages", type=integer, required=True)
     sp.add_argument("--coloring-out", default="")
     sp.add_argument("--trace-out", default="")
     sp.set_defaults(fn=cmd_simulate)
@@ -394,20 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern1", help="disjunctive only")
     sp.add_argument("--predicate1", help="disjunctive only")
     sp.add_argument("--reservoir", default="", help="comma-separated reservoir")
-    sp.add_argument("--bound", type=int, help="default 0; not with --least-bound")
-    sp.add_argument("--least-bound", type=int, default=None)
+    sp.add_argument("--bound", type=integer, help="default 0; not with --least-bound")
+    sp.add_argument("--least-bound", type=integer, default=None)
     sp.set_defaults(fn=cmd_force_eval)
 
     sp = sub.add_parser("tree2col", help="leftmost-path coloring of a binary tree")
     sp.add_argument("tree", help="tree file, one binary string per line")
-    sp.add_argument("--window", type=int, required=True)
+    sp.add_argument("--window", type=integer, required=True)
     sp.set_defaults(fn=cmd_tree2col)
 
     sp = sub.add_parser("verify-lemmas", help="run the law-checking suites", description=(
         "A sampled suite that draws 100 instances per requested run without accepting "
         "--count of them stops with status 'exhausted', which fails the run."))
-    sp.add_argument("--seed", type=int, default=0, help="nonnegative (default 0)")
-    sp.add_argument("--count", type=int, default=2000,
+    sp.add_argument("--seed", type=integer, default=0, help="nonnegative (default 0)")
+    sp.add_argument("--count", type=integer, default=2000,
                     help="accepted runs for each of the six sampled suites (duality "
                          "stops at 2,000); the three sweeps always check 33,866 / "
                          "33,864 / 1,099 patterns (default: %(default)s)")

@@ -150,8 +150,8 @@ class Pattern(_Record):
 def _coded(size: int, code: int) -> Pattern:
     """The pattern with a code known to fit its size; skips the bits check."""
     p = object.__new__(Pattern)
-    object.__setattr__(p, "size", size)
-    object.__setattr__(p, "code", code)
+    _set_size(p, size)
+    _set_code(p, code)
     return p
 
 
@@ -163,12 +163,16 @@ def _gather(rows: Sequence[int], vs: Sequence[int]) -> int:
     return code
 
 
-def _ascii_digits(text: str) -> bool:
-    """Whether text is a nonempty run of ASCII digits.  Pattern sizes,
-    predicate parameters and the integer-list options are read through it,
-    since int() would also take a sign, underscores, spaces and non-ASCII
-    digits."""
-    return text.isascii() and text.isdigit()
+def integer(text: str, what: str = "value") -> int:
+    """The integer spelled by text: an optional '-', then ASCII digits.  Every
+    integer in argv or an input file is read here; callers check the range."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise PatternError(f"{what} must be an integer, got {text!r}")
 
 
 def parse_pattern(text: str) -> Pattern:
@@ -176,9 +180,7 @@ def parse_pattern(text: str) -> Pattern:
     head, sep, bits = text.partition(":")
     if not sep:
         raise PatternError(f"expected 'l:bits', got {text!r}")
-    if not _ascii_digits(head):
-        raise PatternError(f"bad pattern size {head!r}")
-    size = int(head)
+    size = integer(head, "pattern size")
     if size < 1:
         raise PatternError(f"pattern size must be >= 1, got {size}")
     want = size * (size - 1) // 2
@@ -253,12 +255,18 @@ class FiniteColoring(_Record):
         return self.rows[x] >> y & 1
 
 
+# the slot descriptors' setters, bound once: _coded and _coloring fill a
+# record through them, past the __setattr__ that keeps records frozen
+_set_size, _set_code = Pattern.size.__set__, Pattern.code.__set__
+_set_window, _set_rows = FiniteColoring.window.__set__, FiniteColoring.rows.__set__
+
+
 def _coloring(window: int, rows: tuple[int, ...]) -> FiniteColoring:
     """The coloring with rows known to be symmetric masks below 2^window with
     no diagonal bit; skips the checks."""
     f = object.__new__(FiniteColoring)
-    object.__setattr__(f, "window", window)
-    object.__setattr__(f, "rows", rows)
+    _set_window(f, window)
+    _set_rows(f, rows)
     return f
 
 

@@ -25,7 +25,7 @@ import itertools
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernels
-from .core import FiniteColoring, Pattern, PatternError, _ascii_digits
+from .core import FiniteColoring, Pattern, PatternError, integer
 
 MAX_BOUND = 14
 
@@ -207,25 +207,25 @@ def pred_homogeneous(f: FiniteColoring, color: int, min_size: int = 2) -> Bounde
 def catalogue_predicate(spec: str, f: Optional[FiniteColoring] = None) -> BoundedPredicate:
     """Parse a predicate description: true, false, size>=K, contains:V,
     homogeneous:C[:MIN], with K, V, C and MIN in ASCII digits."""
-    def integer(text: str) -> int:
-        if not _ascii_digits(text):
+    def parameter(text: str) -> int:
+        if text.startswith("-"):
             raise PatternError(f"predicate {spec!r} needs nonnegative integer "
                                f"parameters, got {text!r}")
-        return int(text)
+        return integer(text, f"parameter of predicate {spec!r}")
 
     if spec == "true":
         return pred_true()
     if spec == "false":
         return pred_false()
     if spec.startswith("size>="):
-        return pred_size_at_least(integer(spec[len("size>="):]))
+        return pred_size_at_least(parameter(spec[len("size>="):]))
     if spec.startswith("contains:"):
-        return pred_contains(integer(spec.split(":", 1)[1]))
+        return pred_contains(parameter(spec.split(":", 1)[1]))
     if spec.startswith("homogeneous:"):
         parts = spec.split(":")
         if f is None:
             raise PatternError("homogeneity predicate needs the ambient coloring")
         if len(parts) > 3:
             raise PatternError(f"unknown predicate {spec!r}")
-        return pred_homogeneous(f, *map(integer, parts[1:]))
+        return pred_homogeneous(f, *map(parameter, parts[1:]))
     raise PatternError(f"unknown predicate {spec!r}")

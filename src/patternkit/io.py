@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
-from .core import FiniteColoring, Pattern, PatternError, StableColoring, parse_pattern
+from .core import FiniteColoring, Pattern, PatternError, StableColoring, integer, parse_pattern
 
 # the parsers that build these types import them when called, so reading a
 # coloring or a record loads neither the builders nor the stabilizer
@@ -42,10 +42,7 @@ def format_stable_coloring(sc: StableColoring) -> str:
 def _parse_coloring_lines(lines: list[str]) -> tuple[FiniteColoring, list[str]]:
     if not lines:
         raise PatternError("empty coloring file")
-    try:
-        window = int(lines[0])
-    except ValueError:
-        window = -1
+    window = integer(lines[0], "window size")
     if window < 0:
         raise PatternError(f"bad window size {lines[0]!r}")
     need = max(window - 1, 0)
@@ -105,19 +102,14 @@ def _format_elems(elems: Iterable[int]) -> str:
     return ",".join(map(str, es)) if es else "-"
 
 
-def _parse_elems(text: str) -> frozenset[int]:
-    if text == "-":
-        return frozenset()
+def _entry(line: str, fields: list[str]) -> tuple:
+    """An oracle entry's integer fields, then the set its last field lists:
+    comma-separated elements, or '-' for none."""
+    *numbers, elems = fields
     try:
-        return frozenset(int(x) for x in text.split(","))
-    except ValueError:
-        raise PatternError(f"bad element list {text!r}") from None
-
-
-def _integers(line: str, fields: list[str]) -> list[int]:
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
+        return (*map(integer, numbers),
+                frozenset(map(integer, elems.split(",")) if elems != "-" else ()))
+    except PatternError:
         raise PatternError(f"non-integer field in oracle line {line!r}") from None
 
 
@@ -135,7 +127,7 @@ def parse_approx_oracle(text: str) -> ApproxOracle:
         parts = line.split()
         if len(parts) != 3:
             raise PatternError(f"bad enumeration entry {line!r}")
-        entries.append((*_integers(line, parts[:2]), _parse_elems(parts[2])))
+        entries.append(_entry(line, parts))
     return ApproxOracle(tuple(entries))
 
 
@@ -180,7 +172,7 @@ def parse_measure_oracle(text: str) -> tuple[list[PrefixFunctional], list[Patter
         if len(parts) != 3:
             raise PatternError(f"bad prefix entry {line!r}")
         tau = "" if parts[0] == "-" else parts[0]
-        return (tau, *_integers(line, parts[1:2]), _parse_elems(parts[2]))
+        return (tau, *_entry(line, parts[1:]))
 
     blocks = _functional_blocks(text, parse_pattern, entry)
     return ([PrefixFunctional(tuple(entries)) for _, entries in blocks],
@@ -202,11 +194,9 @@ def parse_biarray_oracle(text: str) -> list[BiArrayFunctional]:
     from .constructions import BiArrayFunctional
 
     def entry(line: str, parts: list[str]):
-        if parts[0] == "E" and len(parts) == 4:
-            return (*_integers(line, parts[1:3]), _parse_elems(parts[3]))
-        if parts[0] == "F" and len(parts) == 5:
-            return (*_integers(line, parts[1:4]), _parse_elems(parts[4]))
-        raise PatternError(f"bad bi-array entry {line!r}")
+        if (parts[0], len(parts)) not in (("E", 4), ("F", 5)):
+            raise PatternError(f"bad bi-array entry {line!r}")
+        return _entry(line, parts[1:])
 
     # an E entry is (n, s0, elems), an F entry (n, m, s0, elems)
     return [BiArrayFunctional(tuple(e for e in entries if len(e) == 3),

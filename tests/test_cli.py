@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import patternkit
-from patternkit.cli import main
+from patternkit.cli import build_parser, main
 from patternkit.constructions import KNOWN_CHECKS
 from patternkit.core import constant_coloring
 from patternkit.io import format_coloring, format_tree, parse_coloring, parse_record
@@ -17,7 +18,11 @@ from conftest import random_coloring
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # argparse rejects argv by raising SystemExit; main returns the other codes
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -286,6 +291,18 @@ class TestVerifyLemmas:
         assert err == "error: unknown suites: nope\n"
 
 
+# the options read through core.integer, and an argv for each with {} for the value
+INTEGER_OPTIONS = {
+    "size": ("census", "{}"),
+    "--stages": ("simulate", "dnc", "{oracle}", "--stages={}"),
+    "--bound": ("force-eval", "omega", "{coloring}", "2:0", "true", "--bound={}"),
+    "--least-bound": ("force-eval", "omega", "{coloring}", "2:0", "true", "--least-bound={}"),
+    "--window": ("tree2col", "{tree}", "--window={}"),
+    "--seed": ("verify-lemmas", "--count=1", "--seed={}"),
+    "--count": ("verify-lemmas", "--count={}"),
+}
+
+
 class TestInputErrors:
     """User errors exit 2 with one `error:` line; 1 means a failed check."""
 
@@ -431,6 +448,72 @@ class TestInputErrors:
         tree.write_text("\n0\n1\n")
         err = self.assert_user_error(capsys, "tree2col", str(tree), "--window", "-1")
         assert err == "error: window must be >= 0\n"
+
+    @pytest.mark.parametrize("argv", [("census", "x"), ("census",), ("nosuch",),
+                                      ("census", "3", "--bogus")],
+                             ids=["bad-value", "missing-argument", "unknown-command",
+                                  "unknown-option"])
+    def test_parser_errors_one_line(self, capsys, argv):
+        self.assert_user_error(capsys, *argv)
+
+    # int() would read the first line as index 0 from stage 10 with elements {1, 2}
+    @pytest.mark.parametrize("line", ["\uff10 1_0 1,\uff12", "0 +5 1", "0 0 1,,2"])
+    def test_oracle_integers_ascii_digits_only(self, capsys, tmp_path, line):
+        path = tmp_path / "oracle.txt"
+        path.write_text(line + "\n")
+        err = self.assert_user_error(capsys, "simulate", "dnc", str(path), "--stages", "5")
+        assert err == f"error: non-integer field in oracle line {line!r}\n"
+
+    @pytest.mark.parametrize("window", ["+3", "\uff13", "3_0", " 3", "3 "])
+    def test_coloring_window_ascii_digits_only(self, capsys, tmp_path, window):
+        path = tmp_path / "coloring.txt"
+        path.write_text(f"{window}\n00\n0\n")
+        err = self.assert_user_error(capsys, "avoid-search", str(path), "2:0")
+        assert repr(window) in err
+
+    @pytest.fixture
+    def option_files(self, tmp_path, fixtures, coloring_file):
+        tree = tmp_path / "tree.txt"
+        tree.write_text(format_tree(full_binary_tree(2)))
+        return {"oracle": str(fixtures / "dnc_oracle.txt"), "coloring": coloring_file,
+                "tree": str(tree)}
+
+    def option_error(self, capsys, files, option, value):
+        argv = [a.format(value, **files) for a in INTEGER_OPTIONS[option]]
+        return self.assert_user_error(capsys, *argv)
+
+    # int() would read all but the last as 3, 10, 5, 5 and 5
+    @pytest.mark.parametrize("value", ["\uff13", "1_0", "+5", " 5", "5 ", ""])
+    @pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+    def test_integer_options_ascii_digits_only(self, capsys, option_files, option, value):
+        err = self.option_error(capsys, option_files, option, value)
+        assert err == f"error: argument {option}: invalid integer value: {value!r}\n"
+
+    # a negative value is spelled right, so the option's own range check answers
+    # (test_negative_seed and test_negative_window pin the other two)
+    @pytest.mark.parametrize("option, value, message", [
+        ("size", "-1", "pattern size must be >= 1"),
+        ("--stages", "-1", "need at least one stage"),
+        ("--bound", "-1", "bound must be nonnegative"),
+        ("--least-bound", "-1", "cap must be nonnegative"),
+        ("--count", "-3", "count must be nonnegative, got -3"),
+    ])
+    def test_negative_options_keep_range_messages(self, capsys, option_files, option, value,
+                                                  message):
+        err = self.option_error(capsys, option_files, option, value)
+        assert err == f"error: {message}\n"
+
+    def test_no_option_reads_with_bare_int(self):
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        found = [(parser.prog, action.dest) for parser in parsers(build_parser())
+                 for action in parser._actions if action.type is int]
+        assert found == []
 
 
 class TestDeterminism:

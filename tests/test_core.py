@@ -17,6 +17,7 @@ from patternkit.core import (
     find_realizer,
     flip,
     format_pattern,
+    integer,
     is_subpattern,
     minus,
     parse_pattern,
@@ -26,6 +27,23 @@ from patternkit.core import (
     strongly_realizes,
 )
 from conftest import random_coloring
+
+
+class TestInteger:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("007", 7), ("-12", -12),
+                                             ("9" * 30, 10 ** 30 - 1)])
+    def test_reads_optional_minus_and_ascii_digits(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize("text", ["", "-", "--1", "+1", "1_0", " 1", "1 ", "1.0",
+                                      "\uff11", "\u0663", "\u00b2", "1" * 5000])
+    def test_rejects_everything_else(self, text):
+        with pytest.raises(PatternError, match="^stage count must be an integer, got "):
+            integer(text, "stage count")
+
+    def test_negative_pattern_size_is_a_range_error(self):
+        with pytest.raises(PatternError, match="^pattern size must be >= 1, got -3$"):
+            parse_pattern("-3:")
 
 
 class TestPatternText:

@@ -54,11 +54,13 @@ class TestPredicates:
         with pytest.raises(PatternError):
             catalogue_predicate("whatever")
 
-    # int() would read the second row as 10, 2, 2, 1, -1, -2 and -1
+    # int() would read the second row as 10, 2, 2, 1, -1, -2, -1 and 0; the
+    # reader takes a '-', so the predicate rejects one itself, even on -0
     @pytest.mark.parametrize("spec", ["size>=x", "contains:q", "homogeneous:a",
                                       "homogeneous:0:z", "homogeneous:",
                                       "size>=1_0", "size>=\uff12", "size>= 2", "homogeneous:+1",
-                                      "contains:-1", "homogeneous:0:-2", "size>=-1"])
+                                      "contains:-1", "homogeneous:0:-2", "size>=-1",
+                                      "contains:-0"])
     def test_catalogue_non_integer_parameter(self, spec):
         with pytest.raises(PatternError, match=re.escape(repr(spec))):
             catalogue_predicate(spec, f=constant_coloring(4))

@@ -142,6 +142,47 @@ class TestOracleFiles:
             parse_biarray_oracle("functional\nG 0 0 1\n")
 
 
+# each place an input file spells an integer, as a text with {} for it; "3"
+# parses at every one
+INTEGER_FIELDS = {
+    "approx-e": (parse_approx_oracle, "{} 0 1,9"),
+    "approx-s0": (parse_approx_oracle, "0 {} 1,9"),
+    "approx-element": (parse_approx_oracle, "0 0 1,{}"),
+    "measure-s0": (parse_measure_oracle, "functional 3:010\n- {} 1"),
+    "biarray-E-n": (parse_biarray_oracle, "functional\nE {} 1 9"),
+    "biarray-E-s0": (parse_biarray_oracle, "functional\nE 0 {} 9"),
+    "biarray-F-n": (parse_biarray_oracle, "functional\nF {} 0 1 9"),
+    "biarray-F-m": (parse_biarray_oracle, "functional\nF 0 {} 1 9"),
+    "biarray-F-s0": (parse_biarray_oracle, "functional\nF 0 0 {} 9"),
+    "window": (parse_coloring, "{}\n00\n0\n"),
+    "stable-window": (parse_stable_coloring, "{}\n00\n0\n010\n"),
+}
+# int() would read all but the last as 3, 10, 5, 5 and 5; oracle fields are
+# separated by whitespace, so a space ends a field rather than spelling part
+# of one, and only the window lines take the spaced spellings
+BAD_SPELLINGS = [(site, value) for site in INTEGER_FIELDS
+                 for value in ["\uff13", "1_0", "+5", " 5", "5 ", ""]
+                 if value.strip() == value or "window" in site]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("site", list(INTEGER_FIELDS))
+    def test_ascii_digits_parse(self, site):
+        parse, template = INTEGER_FIELDS[site]
+        parse(template.format("3"))
+
+    @pytest.mark.parametrize("site, value", BAD_SPELLINGS)
+    def test_other_spellings_rejected(self, site, value):
+        parse, template = INTEGER_FIELDS[site]
+        with pytest.raises(PatternError):
+            parse(template.format(value))
+
+    @pytest.mark.parametrize("parse", [parse_coloring, parse_stable_coloring])
+    def test_negative_window_keeps_range_message(self, parse):
+        with pytest.raises(PatternError, match="^bad window size '-3'$"):
+            parse("-3\n00\n0\n")
+
+
 class TestRecords:
     def test_round_trip(self):
         rec = {"a": "1", "b": "x=y", "pattern": "3:010"}
