@@ -2,10 +2,12 @@
 
 Join glues two patterns at one shared vertex: the last vertex of the left
 pattern is identified with the first vertex of the right one, and every
-cross pair inherits the left pattern's last-column color.  Join and the
-splits `decompositions` tries are code arithmetic: a pattern's code lists
-each vertex's segment of pair colors in turn, so gluing or cutting at a
-vertex moves whole segments, O(size) shifts and no rows.
+cross pair inherits the left pattern's last-column color.  Join, and the
+right side of each split `decompositions` tries, are code arithmetic: a
+pattern's code lists each vertex's segment of pair colors in turn, so
+gluing at a vertex, or keeping the vertices from one on, moves whole
+segments, O(size) shifts and no rows.  A split's left side is gathered from
+the row masks, as every other restriction is (`core._gather`).
 
 Irreducibility, divergence and the merging predicates all quantify over
 contiguous splits of the vertex line, which is enough because a join seam
@@ -22,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import Pattern, PatternError, _coded
+from .core import Pattern, PatternError, _coded, _gather
 
 
 def join(p: Pattern, q: Pattern) -> Pattern:
@@ -39,27 +41,18 @@ def join(p: Pattern, q: Pattern) -> Pattern:
     return _coded(a + b - 1, code << b * (b - 1) // 2 | q.code)
 
 
-def _prefix(p: Pattern, k: int) -> Pattern:
-    """restrict(p, range(k)), for 1 <= k <= |p|: the leading k-1-x bits of
-    each vertex x's segment of the code, for x < k-1."""
-    drop, code, left = p.size - k, 0, p.size * (p.size - 1) // 2
-    for keep in range(k - 1, 0, -1):
-        left -= keep + drop
-        code = code << keep | p.code >> left + drop & (1 << keep) - 1
-    return _coded(k, code)
-
-
 def decompositions(p: Pattern) -> list[tuple[Pattern, Pattern]]:
     """All splits p = left ⊎ right with both sides of size >= 2.
 
     A seam is always contiguous, so each split point k yields at most one
-    candidate pair, verified by re-joining.  The right side, the vertices
-    from k-1 on, is the low C(|p|-k+1, 2) bits of p's code.
+    candidate pair, verified by re-joining.  The left side, the vertices
+    below k, is gathered from p's rows; the right side, the vertices from
+    k-1 on, is the low C(|p|-k+1, 2) bits of p's code.
     """
-    out = []
+    out, rows = [], p.rows
     for k in range(2, p.size):
         m = p.size - k + 1
-        left = _prefix(p, k)
+        left = _coded(k, _gather(rows, range(k)))
         right = _coded(m, p.code & (1 << m * (m - 1) // 2) - 1)
         if join(left, right) == p:
             out.append((left, right))

@@ -104,13 +104,17 @@ def _format_elems(elems: Iterable[int]) -> str:
 
 def _entry(line: str, fields: list[str]) -> tuple:
     """An oracle entry's integer fields, then the set its last field lists:
-    comma-separated elements, or '-' for none."""
-    *numbers, elems = fields
+    comma-separated elements, or '-' for none.  Every field and element is
+    an index, a stage or a vertex, so none may be negative."""
+    *heads, last = fields
     try:
-        return (*map(integer, numbers),
-                frozenset(map(integer, elems.split(",")) if elems != "-" else ()))
+        numbers = [integer(t) for t in heads]
+        elems = [integer(t) for t in last.split(",")] if last != "-" else []
     except PatternError:
         raise PatternError(f"non-integer field in oracle line {line!r}") from None
+    if min(numbers + elems) < 0:
+        raise PatternError(f"negative field in oracle line {line!r}")
+    return (*numbers, frozenset(elems))
 
 
 def format_approx_oracle(o: ApproxOracle) -> str:

@@ -4,9 +4,9 @@ combinatorial laws the rest of the package relies on.
 Each suite returns a SuiteResult with the instances tried and any
 counterexamples found; the CLI batch runner and the test suite both drive
 these functions, so a law violation shows up identically in both places.
-The three exhaustive suites sweep every code of their sizes with the row
-masks `_kernels._rows_by_code` streams, and test them with the row-level
-predicate cores of `algebra`.
+The three exhaustive suites, and the pattern pool of `merging-union`, walk
+every code of their sizes with the row masks `_kernels._rows_by_code`
+streams, and test them with the row-level predicate cores of `algebra`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .algebra import (
     _divergent,
     _i_merging,
     _irreducible,
-    classify,
     decompositions,
     is_divergent,
     is_irreducible,
     join,
 )
-from .classifier import enumerate_patterns
 from .stabilize import fg_avoids
 
 
@@ -232,14 +230,15 @@ def suite_avoidance_union(rng: random.Random, count: int = 10_000) -> SuiteResul
 
 
 def _merging_pool(max_size: int = 4) -> dict[int, list[Pattern]]:
+    """The divergent i-merging patterns of sizes 3..max_size, for each i, in
+    code order."""
     pool: dict[int, list[Pattern]] = {0: [], 1: []}
     for size in range(3, max_size + 1):
-        for p in enumerate_patterns(size):
-            fl = classify(p)
-            if fl.divergent:
+        for code, rows in enumerate(_rows_by_code(size)):
+            if _divergent(rows):
                 for i in (0, 1):
-                    if (fl.merging0 if i == 0 else fl.merging1):
-                        pool[i].append(p)
+                    if _i_merging(rows, i):
+                        pool[i].append(_coded(size, code))
     return pool
 
 

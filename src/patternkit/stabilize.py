@@ -23,7 +23,9 @@ from .core import (
     coloring_from_function,
     find_realizer,
 )
-from .algebra import classify, join
+
+# extend_condition and greedy_avoid_join import the algebra when called, so
+# avoid-search and tree2col, which run neither, do not load it
 
 
 class WindowExhausted(RuntimeError):
@@ -114,6 +116,8 @@ def extend_condition(f: FiniteColoring, c: Condition, x: int, p: Pattern) -> Con
     Requires p divergent and irreducible: divergence makes the fresh singleton
     stem vacuously safe, irreducibility makes the union safe.
     """
+    from .algebra import classify
+
     fl = classify(p)
     if not (fl.divergent and fl.irreducible):
         raise PatternError("condition extension needs a divergent irreducible pattern")
@@ -148,6 +152,8 @@ def greedy_avoid_join(f: FiniteColoring, H: Iterable[int], p: Pattern,
     pigeonhole; the stabilized class must then avoid q.  When the window ends
     before the dichotomy settles, the longer verified candidate wins.
     """
+    from .algebra import join
+
     hs = sorted(set(H))
     pq = join(p, q)
     witness = find_realizer(f, hs, pq)
@@ -179,10 +185,11 @@ def greedy_avoid_join(f: FiniteColoring, H: Iterable[int], p: Pattern,
 
 
 def max_avoiding_subset(f: FiniteColoring, W: Iterable[int], p: Pattern) -> frozenset[int]:
-    """Exhaustive maximum-cardinality avoiding subset; brute-force oracle."""
+    """A maximum-cardinality subset of W avoiding p: the branch-and-bound
+    search `_kernels.max_avoiding_elems`, capped at 20 vertices."""
     ws = _check_window_subset(f, W)
     if len(ws) > 20:
-        raise PatternError(f"brute-force oracle capped at 20 vertices, got {len(ws)}")
+        raise PatternError(f"avoiding-subset search capped at 20 vertices, got {len(ws)}")
     return frozenset(_kernels.max_avoiding_elems(f.rows, ws, p.rows))
 
 

@@ -109,6 +109,16 @@ class TestAlgebraCommands:
         code, out, _ = run_cli(capsys, "decompose", "3:010")
         assert "irreducible" in out
 
+    @pytest.mark.parametrize("pattern, expected", [
+        ("4:000101", "pattern:4:000101 left:2:0 right:3:101\n"),
+        ("4:000000", "pattern:4:000000 left:2:0 right:3:000\n"
+                     "pattern:4:000000 left:3:000 right:2:0\n"),
+        ("3:010", "pattern:3:010 irreducible:1\n"),
+    ])
+    def test_decompose_records(self, capsys, pattern, expected):
+        code, out, _ = run_cli(capsys, "decompose", pattern, "--format", "records")
+        assert code == 0 and out == expected
+
     def test_join(self, capsys):
         code, out, _ = run_cli(capsys, "join", "3:010", "3:101")
         assert out.strip() == "5:0111000101"
@@ -189,6 +199,21 @@ class TestSimulate:
         # stable coloring file carries the limit line
         text = Path(tmp_path / "c").read_text()
         assert len(text.splitlines()[-1]) == 100
+
+    def test_failed_check_record(self, capsys, tmp_path, fixtures, monkeypatch):
+        import patternkit.constructions as constructions
+
+        failed = constructions.VerifyReport((
+            constructions.CheckResult("restraints", False, 7, "R[0,0] overlaps R[1,0]"),
+            constructions.CheckResult("p1", True, message="not applicable"),
+        ))
+        monkeypatch.setattr(constructions, "verify_trace", lambda trace, f: failed)
+        code, out, _ = run_cli(capsys, "simulate", "dnc", str(fixtures / "dnc_oracle.txt"),
+                               "--stages", "20", "--coloring-out", str(tmp_path / "c"),
+                               "--trace-out", str(tmp_path / "t"))
+        assert code == 1
+        assert out == ("check:restraints passed:0 stage:7 note:R[0,0]_overlaps_R[1,0]\n"
+                       "check:p1 passed:1 note:not_applicable\n")
 
     def test_bad_oracle_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -289,6 +314,20 @@ class TestVerifyLemmas:
         code, _, err = run_cli(capsys, "verify-lemmas", "--suites", "nope")
         assert code == 2
         assert err == "error: unknown suites: nope\n"
+
+    def test_counterexample_records(self, capsys, monkeypatch):
+        # a planted failure: no pattern merges, so default-merging fails twice
+        # on each of its 33,866 patterns and reports the first five
+        import patternkit.lemmas as lemmas
+
+        monkeypatch.setattr(lemmas, "_i_merging", lambda rows, i: False)
+        code, out, _ = run_cli(capsys, "verify-lemmas", "--suites", "default-merging")
+        assert code == 1
+        assert out == "".join(f"suite:default-merging {field}\n" for field in (
+            "runs:33866 status:FAIL seed:0",
+            "counterexample:2:0_color_1", "counterexample:2:0_color_0",
+            "counterexample:2:1_color_0", "counterexample:2:1_color_1",
+            "counterexample:3:000_color_1"))
 
 
 # the options read through core.integer, and an argv for each with {} for the value
@@ -463,6 +502,62 @@ class TestInputErrors:
         path.write_text(line + "\n")
         err = self.assert_user_error(capsys, "simulate", "dnc", str(path), "--stages", "5")
         assert err == f"error: non-integer field in oracle line {line!r}\n"
+
+    @pytest.fixture
+    def message_files(self, tmp_path, fixtures):
+        files = {"measure": str(fixtures / "measure_oracle.txt"),
+                 "biarray": str(fixtures / "biarray_oracle.txt")}
+        for name, text in [("size1", "functional 1:\n- 0 1\n"), ("empty", ""),
+                           ("window16", format_coloring(constant_coloring(16)))]:
+            files[name] = str(tmp_path / name)
+            Path(files[name]).write_text(text)
+        return files
+
+    @pytest.mark.parametrize("argv, message", [
+        (("classify", "3"), "expected 'l:bits', got '3'"),
+        (("simulate", "measure", "{measure}", "--stages", "0"), "need at least one stage"),
+        (("simulate", "stable2dim", "{biarray}", "--stages", "0"),
+         "need at least one stage"),
+        (("simulate", "measure", "{size1}", "--stages", "5"),
+         "patterns must have size >= 2"),
+        (("force-eval", "omega", "{window16}", "2:0", "true", "--bound", "16"),
+         "bound 16 exceeds window [0,16)"),
+        (("avoid-search", "{empty}", "2:0"), "empty coloring file"),
+    ], ids=["classify-no-colon", "measure-no-stage", "stable2dim-no-stage",
+            "measure-size-1", "bound-at-window", "empty-coloring"])
+    def test_messages_pinned(self, capsys, message_files, argv, message):
+        err = self.assert_user_error(capsys, *(a.format(**message_files) for a in argv))
+        assert err == f"error: {message}\n"
+
+    # each integer field and element position of the three oracle formats made
+    # negative in an otherwise valid line, then lines with every field negative;
+    # an index, a stage or an element cannot be
+    @pytest.mark.parametrize("kind, header, line", [
+        ("dnc", "", "-1 0 1,2"),
+        ("dnc", "", "0 -5 1,2"),
+        ("dnc", "", "0 0 -1,2"),
+        ("dnc", "", "0 0 1,-2"),
+        ("measure", "functional 3:010", "- -3 1,2"),
+        ("measure", "functional 3:010", "0 0 -2,5"),
+        ("measure", "functional 3:010", "0 0 2,-5"),
+        ("stable2dim", "functional", "E -2 0 3,4"),
+        ("stable2dim", "functional", "E 0 -1 1,3"),
+        ("stable2dim", "functional", "E 0 1 -1,3"),
+        ("stable2dim", "functional", "E 0 1 1,-3"),
+        ("stable2dim", "functional", "F -5 0 1 2,4"),
+        ("stable2dim", "functional", "F 0 -4 1 5,6"),
+        ("stable2dim", "functional", "F 0 1 -3 2,4"),
+        ("stable2dim", "functional", "F 0 1 2 -2,4"),
+        ("stable2dim", "functional", "F 0 1 2 2,-4"),
+        ("measure", "functional 3:010", "0 -3 -2,5"),
+        ("stable2dim", "functional", "E -2 -1 -1,3"),
+        ("stable2dim", "functional", "F -5 -4 -3 -2,4"),
+    ])
+    def test_negative_oracle_fields(self, capsys, tmp_path, kind, header, line):
+        path = tmp_path / "oracle.txt"
+        path.write_text(f"{header}\n{line}\n")
+        err = self.assert_user_error(capsys, "simulate", kind, str(path), "--stages", "8")
+        assert err == f"error: negative field in oracle line {line!r}\n"
 
     @pytest.mark.parametrize("window", ["+3", "\uff13", "3_0", " 3", "3 "])
     def test_coloring_window_ascii_digits_only(self, capsys, tmp_path, window):

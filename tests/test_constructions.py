@@ -803,3 +803,20 @@ class TestVerifyTrace:
                                                              "patterns": []})
         rep = verify_trace(trace, constant_coloring(10), checks=("commitments",))
         assert not rep.passed
+
+    # a stable2dim requirement may act twice between injuries, a measure
+    # requirement R[j] once per vertex of its pattern (3:010 here)
+    @pytest.mark.parametrize("builder, attentions", [("stable2dim", 3), ("measure", 4)])
+    def test_attention_past_the_bound_without_injury_detected(self, builder, attentions):
+        aux = {"functionals": [], "patterns": [parse_pattern("3:010")]}
+        events = tuple(TraceEvent(s, "attention", "R[0]") for s in range(2, attentions + 2))
+        trace = ConstructionTrace(builder, 10, events, aux=aux)
+        rep = verify_trace(trace, constant_coloring(10), checks=("finite-actions",))
+        assert rep.results == (constructions.CheckResult(
+            "finite-actions", False, attentions + 1, "R[0] acted too often without injury"),)
+        # one attention fewer, or an injury before the last one, passes
+        injured = events[:-1] + (TraceEvent(attentions, "injury", "R[0]"), events[-1])
+        for passing in (events[:-1], injured):
+            trace = ConstructionTrace(builder, 10, passing, aux=aux)
+            assert verify_trace(trace, constant_coloring(10),
+                                checks=("finite-actions",)).passed

@@ -19,7 +19,13 @@ import pytest
 import patternkit
 from patternkit.constructions import ApproxOracle, BiArrayFunctional
 from patternkit.core import constant_coloring
-from patternkit.io import format_approx_oracle, format_biarray_oracle, format_coloring
+from patternkit.io import (
+    format_approx_oracle,
+    format_biarray_oracle,
+    format_coloring,
+    format_tree,
+)
+from patternkit.stabilize import full_binary_tree
 
 SRC = str(Path(patternkit.__file__).parents[1])
 
@@ -88,8 +94,8 @@ def loaded_after(code: str) -> set[str]:
 
 
 def cli_code(tmp_path, argv) -> str:
-    """Code that runs the CLI on argv, with {oracle}, {biarray} and
-    {coloring} standing for small input files, and discards its stdout."""
+    """Code that runs the CLI on argv, with {oracle}, {biarray}, {coloring}
+    and {tree} standing for small input files, and discards its stdout."""
     oracle = tmp_path / "oracle.txt"
     oracle.write_text(format_approx_oracle(ApproxOracle(((0, 0, frozenset(range(8))),))))
     biarray = tmp_path / "biarray.txt"
@@ -97,7 +103,10 @@ def cli_code(tmp_path, argv) -> str:
         ((0, 1, frozenset({2, 3})),), ((0, 3, 4, frozenset({5, 6})),))]))
     coloring = tmp_path / "coloring.txt"
     coloring.write_text(format_coloring(constant_coloring(8)))
-    argv = [a.format(oracle=oracle, biarray=biarray, coloring=coloring) for a in argv]
+    tree = tmp_path / "tree.txt"
+    tree.write_text(format_tree(full_binary_tree(3)))
+    argv = [a.format(oracle=oracle, biarray=biarray, coloring=coloring, tree=tree)
+            for a in argv]
     return ("import contextlib, io\n"
             "from patternkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -114,11 +123,13 @@ def test_cli_import_loads_only_core_and_io():
 
 @pytest.mark.parametrize("argv, modules", [
     (["simulate", "dnc", "{oracle}", "--stages", "20"], {"constructions"}),
-    (["avoid-search", "{coloring}", "3:010"], {"stabilize", "algebra"}),
+    (["avoid-search", "{coloring}", "3:010"], {"stabilize"}),
+    (["tree2col", "{tree}", "--window", "4"], {"stabilize"}),
     (["force-eval", "omega", "{coloring}", "3:111", "size>=3", "--bound", "4"],
      {"forcing"}),
     (["census", "3"], {"classifier", "algebra"}),
-], ids=["simulate-dnc", "avoid-search", "force-eval", "census"])
+    (["verify-lemmas", "--count", "5"], {"lemmas", "stabilize", "algebra"}),
+], ids=["simulate-dnc", "avoid-search", "tree2col", "force-eval", "census", "verify-lemmas"])
 def test_command_loads_only_its_modules(tmp_path, argv, modules):
     assert loaded_after(cli_code(tmp_path, argv)) == \
         STARTUP | {f"patternkit.{m}" for m in modules}

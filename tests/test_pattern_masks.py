@@ -2,8 +2,8 @@
 reference written here: a pattern is (size, bits) with the pair colors in
 lexicographic order, and every operation reads it one pair at a time.
 Exhaustive over every pattern of size <= 5 and every join up to 4 + 4.
-The code-arithmetic join, the prefix restriction and the streamed rows are
-also checked against the row-based versions they replaced."""
+The code-arithmetic join and the streamed rows are also checked against
+the row-based versions they replaced."""
 
 import itertools
 import random
@@ -12,7 +12,6 @@ import tracemalloc
 import pytest
 
 from patternkit.algebra import (
-    _prefix,
     classify,
     decompositions,
     is_divergent,
@@ -283,13 +282,6 @@ def test_join_against_rows_join_seeded_up_to_12():
         p, q = (_coded(n, rng.getrandbits(n * (n - 1) // 2))
                 for n in (rng.randint(1, 12), rng.randint(1, 12)))
         assert join(p, q) == rows_join(p, q), (p, q)
-
-
-@pytest.mark.parametrize("size", range(1, 7))
-def test_prefix_is_restrict(size):
-    for p in enumerate_patterns(size):
-        for k in range(1, size + 1):
-            assert _prefix(p, k) == restrict(p, range(k))
 
 
 def test_restrict_dual_minus():

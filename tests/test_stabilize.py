@@ -270,7 +270,8 @@ class TestBruteForceOracle:
         assert got == frozenset({2, 3})
 
     def test_guard(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match="^avoiding-subset search capped at 20 "
+                                               "vertices, got 25$"):
             max_avoiding_subset(constant_coloring(25), range(25),
                                 parse_pattern("2:0"))
 
