@@ -2,12 +2,17 @@
 
 A coloring and a pattern both enter as their rows, int bit masks with bit y
 of `rows[x]` the colour of (x, y); element lists as plain increasing lists.
-`Pattern.rows` comes from `_pattern_matrix`: it ORs one precomputed packed
-row set per 4-bit slice of the code (`_slice_tables`, built once per size)
-and unpacks the result, so a size-6 pattern costs 4 lookups, not 15 pair
-steps.  Sweeps over every pattern of a size read `_rows_by_code` instead: it
-streams the rows of each code in code order from the same tables, holding
-one block of at most 4,096 packed values and filling no cache.
+`Pattern.rows` comes from `_pattern_matrix`, the cached `_rows_of`: it ORs
+one precomputed packed row set per 4-bit slice of the code (`_slice_tables`,
+built once per size) and unpacks the result, so a size-6 pattern costs 4
+lookups, not 15 pair steps.  Sweeps over every pattern of a size read
+`_rows_by_code` instead: it streams the rows of each code in code order from
+the same tables, holding one block of at most 4,096 packed values and
+filling no cache.
+
+Packed rows sit at a stride of one byte up to size 8, every size a census
+accepts: row x is byte x, so one `int.to_bytes` unpacks all the rows at
+once.  Larger sizes pack at a stride of `size` bits and unpack row by row.
 
 The realizer search is the only one in the package: strong appearance,
 witnessed avoidance and the admissibility step of the avoiding-subset search
@@ -22,21 +27,26 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 
-# Slice tables take about size^4 / 4 bytes (0.2 MB at size 30, 17 MB at 100);
-# a larger pattern's rows come from its pairs one by one.
+# Sizes up to _BYTE_MAX_SIZE pack each row into one byte.  Above it a row
+# takes `size` bits, and the slice tables take about size^4 / 4 bytes (0.2 MB
+# at size 30, 17 MB at 100); a pattern larger than _SLICED_MAX_SIZE gets its
+# rows from its pairs one by one.  At size 8 the seven tables hold 112 values
+# of at most 64 bits.
+_BYTE_MAX_SIZE = 8
 _SLICED_MAX_SIZE = 32
 
 
 @lru_cache(maxsize=None)
 def _slice_tables(size: int) -> tuple[list[int], ...]:
     """For each 4-bit slice of a code of this size, least significant first:
-    the rows, packed with row x in bits [x*size, (x+1)*size), that each value
-    of the slice sets."""
+    the rows, packed with row x in bits [x*stride, x*stride + size), that each
+    value of the slice sets."""
+    stride = 8 if size <= _BYTE_MAX_SIZE else size
     k = size * (size - 1) // 2
     pair = [0] * k  # pair[k]: the packed rows that code bit k sets
     for x, y in itertools.combinations(range(size), 2):
         k -= 1
-        pair[k] = 1 << x * size + y | 1 << y * size + x
+        pair[k] = 1 << x * stride + y | 1 << y * stride + x
     tables = []
     for j in range(0, len(pair), 4):
         table = [0]
@@ -46,9 +56,9 @@ def _slice_tables(size: int) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
-@lru_cache(maxsize=4096)
-def _pattern_matrix(size: int, code: int) -> tuple[int, ...]:
-    """Row masks of the pattern (size, code); the first pair is the top bit."""
+def _rows_of(size: int, code: int) -> tuple[int, ...]:
+    """Row masks of the pattern (size, code); the first pair is the top bit.
+    Uncached: `_pattern_matrix` is this function behind the row cache."""
     if size > _SLICED_MAX_SIZE:
         rows = [0] * size
         k = size * (size - 1) // 2
@@ -62,8 +72,13 @@ def _pattern_matrix(size: int, code: int) -> tuple[int, ...]:
     for table in _slice_tables(size):
         packed |= table[code & 15]
         code >>= 4
+    if size <= _BYTE_MAX_SIZE:
+        return tuple(packed.to_bytes(size, "little"))
     row = (1 << size) - 1
     return tuple([packed >> shift & row for shift in range(0, size * size, size)])
+
+
+_pattern_matrix = lru_cache(maxsize=4096)(_rows_of)
 
 
 def _rows_by_code(size: int) -> Iterator[tuple[int, ...]]:
@@ -73,9 +88,15 @@ def _rows_by_code(size: int) -> Iterator[tuple[int, ...]]:
     entries set disjoint bits), the three lowest slices taken from one block
     of at most 4,096 precomputed sums; no row tuple is cached."""
     tables = _slice_tables(size)[::-1]  # most significant slice first
+    block = [sum(low) for low in itertools.product(*tables[-3:])]
+    if size <= _BYTE_MAX_SIZE:
+        width, little = itertools.repeat(size), itertools.repeat("little")
+        for high in itertools.product(*tables[:-3]):
+            packed = map(sum(high).__add__, block)
+            yield from map(tuple, map(int.to_bytes, packed, width, little))
+        return
     row = (1 << size) - 1
     shifts = range(0, size * size, size)
-    block = [sum(low) for low in itertools.product(*tables[-3:])]
     for high in itertools.product(*tables[:-3]):
         top = sum(high)
         for packed in block:
@@ -90,32 +111,45 @@ def lex_least_realizer(rows, elems, prows, last=None) -> Optional[list[int]]:
     With `last`, the mask of the elements whose colour toward a virtual top
     vertex is 1, the tuple realizes the pattern minus its last vertex l and
     each x_i must also have bit x_i of last equal to bit l of prows[i].
+
+    A depth-first search with an explicit stack.  At depth d, with `out` the
+    tuple so far and `seen` its mask, element e extends it when
+    rows[e] & seen equals `need`, the mask of the out[i] with bit i of
+    prows[d] set, and bit e of `allowed` is set: every element without
+    `last`, else those whose bit of last is bit l of prows[d].
     """
     l = len(prows) - (last is not None)
-    n = len(elems)
+    if l == 0:
+        return []
     out: list[int] = []
-
-    def extend(start: int) -> bool:
+    saved = []  # (next index, need, allowed, stop) of each depth below
+    k = seen = need = 0
+    allowed = -1 if last is None else last if prows[0] >> l & 1 else ~last
+    stop = len(elems) - l + 1  # depth d scans elems[k:stop], stop = n - l + d + 1
+    while True:
+        while k < stop:
+            e = elems[k]
+            k += 1
+            if rows[e] & seen == need and allowed >> e & 1:
+                break
+        else:  # depth exhausted: back up one
+            if not out:
+                return None
+            seen ^= 1 << out.pop()
+            k, need, allowed, stop = saved.pop()
+            continue
+        out.append(e)
         d = len(out)
         if d == l:
-            return True
-        want = prows[d]
-        for k in range(start, n - l + d + 1):
-            e = elems[k]
-            if last is not None and last >> e & 1 != want >> l & 1:
-                continue
-            row = rows[e]
-            for i, x in enumerate(out):
-                if row >> x & 1 != want >> i & 1:
-                    break
-            else:
-                out.append(e)
-                if extend(k + 1):
-                    return True
-                out.pop()
-        return False
-
-    return out if extend(0) else None
+            return out
+        saved.append((k, need, allowed, stop))
+        seen |= 1 << e
+        want, need = prows[d], 0
+        for i, x in enumerate(out):
+            if want >> i & 1:
+                need |= 1 << x
+        allowed = -1 if last is None else last if want >> l & 1 else ~last
+        stop += 1
 
 
 def max_avoiding_elems(rows, elems, prows) -> list[int]:

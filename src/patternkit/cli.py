@@ -42,16 +42,16 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise PatternError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise PatternError(f"cannot read {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise PatternError(f"cannot read {path}: not a text file") from None
+        raise PatternError(f"cannot read {path!r}: not a text file") from None
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise PatternError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise PatternError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _int_list(text: str, option: str) -> list[int]:

@@ -29,6 +29,20 @@ from .core import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# The most stages a builder runs.  The builders hold one row per stage, so the
+# cost grows with its square: at the cap a cold `simulate` on the test and
+# benchmark oracles took 2.0-6.3 s and 210-290 MB, and without it
+# --stages 10^12 died allocating its rows.
+MAX_STAGES = 10_000
+
+
+def _check_stages(stages: int) -> None:
+    if stages < 1:
+        raise PatternError("need at least one stage")
+    if stages > MAX_STAGES:
+        raise PatternError(f"builders capped at {MAX_STAGES} stages, got {stages}")
+
+
 # ---------------------------------------------------------------------------
 # requirement indexing
 
@@ -332,8 +346,7 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
     requirement with priority ordinal below the stage picks an unrestrained
     oldest block realizing its truncation and colors the block toward the
     stage top; unassigned pairs stay 0."""
-    if stages < 1:
-        raise PatternError("need at least one stage")
+    _check_stages(stages)
     rows = [0] * stages
     events: list[TraceEvent] = []
     # per nonempty oracle index, the stage's enumeration mapped to the ages
@@ -393,8 +406,7 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     measure clears its threshold stacks the interval [marker, stage] onto its
     state, moves markers, injures lower priorities, and commits the stacked
     intervals to the limit colors prescribed by its pattern."""
-    if stages < 1:
-        raise PatternError("need at least one stage")
+    _check_stages(stages)
     if len(fs) != len(patterns):
         raise PatternError("one pattern per functional required")
     if any(p.size < 2 for p in patterns):
@@ -464,8 +476,7 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
     and commits it away from the target limit class; a second attention,
     available once a primary/secondary pair with the right cross color has
     emerged in the built coloring, commits the pair to its final classes."""
-    if stages < 1:
-        raise PatternError("need at least one stage")
+    _check_stages(stages)
     n = 2 * len(bs)
     labels = [f"R[{j // 2},{j % 2}]" for j in range(n)]
     status = ["none"] * n   # none / partial / full

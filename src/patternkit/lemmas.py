@@ -7,10 +7,17 @@ these functions, so a law violation shows up identically in both places.
 The three exhaustive suites, and the pattern pool of `merging-union`, walk
 every code of their sizes with the row masks `_kernels._rows_by_code`
 streams, and test them with the row-level predicate cores of `algebra`.
+
+The sampled suites draw from their generator exactly as `randint`, `choice`
+and one `randint(0, 1)` per pair would, in the same order, but through
+`getrandbits` directly (`_below`, `_coins`): the pinned digests in the tests
+hold the values and the generator's end state.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import zlib
 from typing import Callable, NamedTuple, Optional
@@ -26,7 +33,7 @@ from .core import (
     dual,
     flip,
 )
-from ._kernels import _rows_by_code
+from ._kernels import _rows_by_code, _rows_of
 from .algebra import (
     _divergent,
     _i_merging,
@@ -64,37 +71,54 @@ def _coin(rng: random.Random) -> int:
     return r
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), for n >= 1, drawn as CPython 3.11 draws it
+    (`_randbelow_with_getrandbits`: n.bit_length() bits, redrawn while >= n).
+    randint(a, b) is a + _below(rng, b - a + 1), and choice(seq) is
+    seq[_below(rng, len(seq))]."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _coins(rng: random.Random, n: int) -> int:
+    """The code of n coins drawn as n calls of `_coin` would, the first coin
+    the top bit."""
+    bits = rng.getrandbits
+    code = 0
+    for _ in range(n):
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        code = code << 1 | r
+    return code
+
+
 def _random_pattern(rng: random.Random, max_size: int, min_size: int = 2) -> Pattern:
     """A uniform size, then one coin per pair, first pair first."""
-    size = rng.randint(min_size, max_size)
-    code = 0
-    for _ in range(size * (size - 1) // 2):
-        code = code << 1 | _coin(rng)
-    return _coded(size, code)
+    size = min_size + _below(rng, max_size - min_size + 1)
+    return _coded(size, _coins(rng, size * (size - 1) // 2))
 
 
-def _random_rows(rng: random.Random, window: int) -> list[int]:
+def _random_rows(rng: random.Random, window: int) -> tuple[int, ...]:
     """The rows of a coloring with one coin per pair x < y, drawn in
-    lexicographic order."""
-    rows = [0] * window
-    for x in range(window):
-        row, bit = 0, 1 << x
-        for y in range(x + 1, window):
-            if _coin(rng):
-                row |= 1 << y
-                rows[y] |= bit
-        rows[x] |= row
-    return rows
+    lexicographic order: the rows of the pattern whose code they spell."""
+    return _rows_of(window, _coins(rng, window * (window - 1) // 2))
 
 
-def _recolored(rows: list[int], E, F, color) -> FiniteColoring:
-    """rows, with each pair (x in E, y in F) recolored color(x) in place, as a
-    coloring built without FiniteColoring's checks: symmetric rows stay so."""
+def _recolored(rows, E, F, color) -> FiniteColoring:
+    """rows, with each pair (x in E, y in F) recolored color(x), as a coloring
+    built without FiniteColoring's checks: symmetric rows stay so.  E and F
+    are disjoint."""
+    rows = list(rows)
+    ones = sum(1 << x for x in E if color(x))  # the E vertices colored 1
+    Emask, Fmask = sum(1 << x for x in E), sum(1 << y for y in F)
     for x in E:
-        for y in F:
-            if rows[x] >> y & 1 != color(x):
-                rows[x] ^= 1 << y
-                rows[y] ^= 1 << x
+        rows[x] = rows[x] & ~Fmask | (Fmask if ones >> x & 1 else 0)
+    for y in F:
+        rows[y] = rows[y] & ~Emask | ones
     return _coloring(len(rows), tuple(rows))
 
 
@@ -115,27 +139,33 @@ def _sampled(name: str, count: int,
                        exhausted=runs < count)
 
 
-def _swept(name: str, sizes: range,
-           failures: Callable[[int, tuple[int, ...]], list[str]]) -> SuiteResult:
-    """Check failures(code, rows) on every pattern of the given sizes, given
-    by its code and row masks, in code order; every pattern is a run.
-    failures returns one note per violation; a counterexample is the pattern
-    followed by its note, and only the first five are built, so a Pattern is
-    built for at most five failures."""
+def _no_note(code: int, rows: tuple[int, ...]) -> list[str]:
+    return [""]
+
+
+def _swept(name: str, sizes: range, holds: Callable[[int, tuple[int, ...]], bool],
+           notes: Callable[[int, tuple[int, ...]], list[str]] = _no_note
+           ) -> SuiteResult:
+    """Check holds(code, rows) on every pattern of the given sizes, given by
+    its code and row masks, in code order; every pattern is a run.  A failing
+    pattern gives one counterexample per note of notes(code, rows): the
+    pattern followed by the note.  Only the first five are kept, so a Pattern
+    is built for at most five failures."""
     bad, runs = [], 0
     for n in sizes:
-        for code, rows in enumerate(_rows_by_code(n)):
-            for note in failures(code, rows):
-                if len(bad) < 5:
-                    bad.append(f"{_coded(n, code)}{note}")
+        verdicts = map(holds, itertools.count(), _rows_by_code(n))
+        for code in itertools.compress(itertools.count(), map(operator.not_, verdicts)):
+            if len(bad) < 5:
+                p = _coded(n, code)
+                bad += [f"{p}{note}" for note in notes(code, _rows_of(n, code))]
         runs += 1 << n * (n - 1) // 2
-    return SuiteResult(name, runs, tuple(bad), skipped=runs == 0)
+    return SuiteResult(name, runs, tuple(bad[:5]), skipped=runs == 0)
 
 
 def suite_join_associative(rng: random.Random, count: int = 10_000) -> SuiteResult:
     """(p ⊎ q) ⊎ r equals p ⊎ (q ⊎ r) for random triples."""
     def trial():
-        p, q, r = (_random_pattern(rng, 5) for _ in range(3))
+        p, q, r = _random_pattern(rng, 5), _random_pattern(rng, 5), _random_pattern(rng, 5)
         return [] if join(join(p, q), r) == join(p, join(q, r)) else [f"{p} {q} {r}"]
     return _sampled("join-associative", count, trial)
 
@@ -152,53 +182,69 @@ def suite_join_divergence(rng: random.Random, count: int = 10_000) -> SuiteResul
 def suite_default_merging(max_size: int = 6) -> SuiteResult:
     """Every pattern merges for the complement of its first limit color and
     for its last limit color; exhaustive over small sizes."""
-    def failures(code, rows):
+    def colors(rows):
         last = rows[-1]  # bit x: the color of (x, l-1)
-        return [(" color 0", " color 1")[i]
-                for i in (1 - (last & 1), last >> len(rows) - 2 & 1)
-                if not _i_merging(rows, i)]
-    return _swept("default-merging", range(2, max_size + 1), failures)
+        return 1 - (last & 1), last >> len(rows) - 2 & 1
+
+    def holds(code, rows):
+        first, final = colors(rows)
+        return _i_merging(rows, first) and _i_merging(rows, final)
+
+    def notes(code, rows):
+        return [f" color {i}" for i in colors(rows) if not _i_merging(rows, i)]
+    return _swept("default-merging", range(2, max_size + 1), holds, notes)
 
 
 def suite_convergent_merging(max_size: int = 6) -> SuiteResult:
     """Convergent patterns of size >= 3 are merging; exhaustive."""
-    def failures(code, rows):
-        holds = _divergent(rows) or (_i_merging(rows, 0) and _i_merging(rows, 1))
-        return [] if holds else [""]
-    return _swept("convergent-merging", range(3, max_size + 1), failures)
+    def holds(code, rows):
+        return _divergent(rows) or (_i_merging(rows, 0) and _i_merging(rows, 1))
+    return _swept("convergent-merging", range(3, max_size + 1), holds)
 
 
 def suite_irreducibility_criterion(max_size: int = 5) -> SuiteResult:
     """Split-criterion irreducibility agrees with the definition (no
     decomposition into a join); exhaustive."""
-    def failures(code, rows):
-        p = _coded(len(rows), code)
-        return [""] if _irreducible(rows) == bool(decompositions(p)) else []
-    return _swept("irreducibility-criterion", range(1, max_size + 1), failures)
+    def holds(code, rows):
+        return _irreducible(rows) != bool(decompositions(_coded(len(rows), code)))
+    return _swept("irreducibility-criterion", range(1, max_size + 1), holds)
 
 
 def suite_duality(rng: random.Random, count: int = 2_000) -> SuiteResult:
     """Avoidance is invariant under simultaneously flipping coloring and
     pattern; at most 2,000 runs, whatever `count` asks for."""
     def trial():
-        window = rng.randint(3, 9)
-        f = _coloring(window, tuple(_random_rows(rng, window)))
+        window = 3 + _below(rng, 7)
+        f = _coloring(window, _random_rows(rng, window))
         p = _random_pattern(rng, 4)
         H = [x for x in range(window) if rng.random() < 0.7]
         return [] if avoids(f, H, p) == avoids(flip(f), H, dual(p)) else [f"{p} H={H}"]
     return _sampled("duality", min(count, 2_000), trial)
 
 
-def _stabilized_instance(rng: random.Random, max_window: int = 10,
-                         max_pattern: int = 4):
-    """Random (f, g, E, F, p) with F stabilizing E under witness g."""
-    window = rng.randint(4, max_window)
+def _stabilized_draw(rng: random.Random):
+    """The draws of a stabilized instance, in order: (rows, E, F, coins, p),
+    with a window of 4-10, E below F, one witness coin per vertex (vertex 0
+    the top bit of coins) and |p| <= 4.  Nothing is built from them."""
+    window = 4 + _below(rng, 7)
     rows = _random_rows(rng, window)
-    split = rng.randint(1, window - 1)
-    E = sorted(x for x in range(split) if rng.random() < 0.7)
-    F = sorted(y for y in range(split, window) if rng.random() < 0.7)
-    g = PartialColoring({x: _coin(rng) for x in range(window)})
-    return _recolored(rows, E, F, g), g, E, F, _random_pattern(rng, max_pattern)
+    split = 1 + _below(rng, window - 1)
+    E = [x for x in range(split) if rng.random() < 0.7]
+    F = [y for y in range(split, window) if rng.random() < 0.7]
+    return rows, E, F, _coins(rng, window), _random_pattern(rng, 4)
+
+
+def _stabilized(rows, E, F, coins, p):
+    """(f, g, E, F, p) from a draw: g colors each vertex by its coin, and f
+    recolors rows so that F stabilizes E under g."""
+    top = len(rows) - 1
+    g = PartialColoring({x: coins >> top - x & 1 for x in range(top + 1)})
+    return _recolored(rows, E, F, g), g, E, F, p
+
+
+def _stabilized_instance(rng: random.Random):
+    """Random (f, g, E, F, p) with F stabilizing E under witness g."""
+    return _stabilized(*_stabilized_draw(rng))
 
 
 def suite_stabilized_avoidance_equivalence(rng: random.Random,
@@ -219,13 +265,14 @@ def suite_avoidance_union(rng: random.Random, count: int = 10_000) -> SuiteResul
     """Irreducible p: if F stabilizes E under g and both sides are
     witnessed-avoiding, so is their union."""
     def trial():
-        f, g, E, F, p = _stabilized_instance(rng)
+        draw = _stabilized_draw(rng)
+        p = draw[-1]
         if p.size < 3 or not is_irreducible(p):
             return None
+        f, g, E, F, p = _stabilized(*draw)
         if not (fg_avoids(f, g, E, p) and fg_avoids(f, g, F, p)):
             return None
-        union = sorted(set(E) | set(F))
-        return [] if fg_avoids(f, g, union, p) else [f"{p} E={E} F={F}"]
+        return [] if fg_avoids(f, g, E + F, p) else [f"{p} E={E} F={F}"]
     return _sampled("avoidance-union", count, trial)
 
 
@@ -250,19 +297,19 @@ def suite_merging_union(rng: random.Random, count: int = 10_000) -> SuiteResult:
 
     def trial():
         i = _coin(rng)
-        p = rng.choice(pool[i])
-        window = rng.randint(4, 10)
+        p = pool[i][_below(rng, len(pool[i]))]
+        window = 4 + _below(rng, 7)
         rows = _random_rows(rng, window)
-        split = rng.randint(1, window - 1)
-        E = sorted(x for x in range(split) if rng.random() < 0.6)
-        F = sorted(y for y in range(split, window) if rng.random() < 0.6)
+        split = 1 + _below(rng, window - 1)
+        E = [x for x in range(split) if rng.random() < 0.6]
+        F = [y for y in range(split, window) if rng.random() < 0.6]
         gE = _coin(rng)
-        g = PartialColoring({**{x: gE for x in E}, **{y: 1 - i for y in F}})
         cross = _coin(rng)
         f = _recolored(rows, E, F, lambda x: cross)
-        union = sorted(set(E) | set(F))
+        union = E + F
         if not avoids(f, union, p):
             return None
+        g = PartialColoring({**{x: gE for x in E}, **{y: 1 - i for y in F}})
         return ([] if fg_avoids(f, g, union, p)
                 else [f"{p} i={i} E={E} F={F} cross={cross}"])
     return _sampled("merging-union", count, trial)
@@ -297,7 +344,7 @@ def run_suites(seed: int = 0, count: int = 10_000,
         raise PatternError(f"suite {repeated!r} named twice")
     unknown = [n for n in chosen if n not in SUITES]
     if unknown:
-        raise PatternError(f"unknown suites: {', '.join(unknown)}")
+        raise PatternError(f"unknown suites: {', '.join(map(repr, unknown))}")
     results = []
     for name in chosen:
         rng = random.Random(seed ^ zlib.crc32(name.encode()))

@@ -10,7 +10,7 @@ import pytest
 
 import patternkit
 from patternkit.cli import build_parser, main
-from patternkit.constructions import KNOWN_CHECKS
+from patternkit.constructions import KNOWN_CHECKS, MAX_STAGES
 from patternkit.core import constant_coloring
 from patternkit.io import format_coloring, format_tree, parse_coloring, parse_record
 from patternkit.stabilize import full_binary_tree
@@ -313,7 +313,7 @@ class TestVerifyLemmas:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify-lemmas", "--suites", "nope")
         assert code == 2
-        assert err == "error: unknown suites: nope\n"
+        assert err == "error: unknown suites: 'nope'\n"
 
     def test_counterexample_records(self, capsys, monkeypatch):
         # a planted failure: no pattern merges, so default-merging fails twice
@@ -380,6 +380,31 @@ class TestInputErrors:
     def test_unwritable_output_file(self, capsys, tmp_path, fixtures):
         self.assert_user_error(capsys, "simulate", "dnc", str(fixtures / "dnc_oracle.txt"),
                                "--stages", "5", "--coloring-out", str(tmp_path))
+
+    def test_echoed_text_quoted(self, capsys, tmp_path, fixtures):
+        # a newline in a path or a suite name stays inside the one error line
+        missing = str(tmp_path / "no\nsuch")
+        err = self.assert_user_error(capsys, "avoid-search", missing, "2:0")
+        assert err.startswith(f"error: cannot read {missing!r}: ")
+        err = self.assert_user_error(capsys, "simulate", "dnc", str(fixtures / "dnc_oracle.txt"),
+                                     "--stages", "5", "--coloring-out", missing + "/out.txt")
+        assert err.startswith(f"error: cannot write {missing + '/out.txt'!r}: ")
+        err = self.assert_user_error(capsys, "verify-lemmas", "--suites", "no\nsuch")
+        assert err == "error: unknown suites: 'no\\nsuch'\n"
+
+    @pytest.mark.parametrize("kind, oracle", [("dnc", "dnc_oracle.txt"),
+                                              ("measure", "measure_oracle.txt"),
+                                              ("stable2dim", "biarray_oracle.txt")])
+    @pytest.mark.parametrize("stages", [MAX_STAGES + 1, 10**12])
+    def test_stages_capped(self, capsys, fixtures, kind, oracle, stages):
+        # 10**12 stages used to die allocating the rows, with a traceback
+        err = self.assert_user_error(capsys, "simulate", kind, str(fixtures / oracle),
+                                     "--stages", str(stages))
+        assert err == f"error: builders capped at {MAX_STAGES} stages, got {stages}\n"
+
+    def test_stages_cap_above_every_use(self):
+        # the tests and the benchmark run at most 500 stages
+        assert MAX_STAGES >= 500
 
     def test_non_integer_lists(self, capsys, coloring_file):
         self.assert_user_error(capsys, "avoid-search", coloring_file, "2:0",
@@ -612,8 +637,9 @@ class TestInputErrors:
 
 
 class TestDeterminism:
-    def test_repeated_runs_byte_identical(self, capsys, coloring_file, fixtures):
-        invocations = [
+    @pytest.fixture
+    def invocations(self, coloring_file, fixtures):
+        return [
             ("census", "4", "--format", "records"),
             ("classify", "5:0111000101", "--format", "records"),
             ("verify-lemmas", "--count", "100", "--seed", "3"),
@@ -622,10 +648,25 @@ class TestDeterminism:
             ("force-eval", "omega", coloring_file, "3:010", "size>=2",
              "--reservoir", "1,2,3,4,5", "--bound", "5"),
         ]
+
+    def test_repeated_runs_byte_identical(self, capsys, invocations):
         for argv in invocations:
             _, first, _ = run_cli(capsys, *argv)
             _, second, _ = run_cli(capsys, *argv)
             assert first == second, argv
+
+    def test_hash_seed_independent(self, invocations):
+        # str hashes, and so set and dict orders, change with PYTHONHASHSEED;
+        # the output must not
+        path = str(Path(patternkit.__file__).parents[1])
+        for argv in invocations:
+            outs = []
+            for hash_seed in ("0", "12345"):
+                env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+                proc = subprocess.run([sys.executable, "-m", "patternkit.cli", *argv],
+                                      capture_output=True, env=env, check=True)
+                outs.append(proc.stdout)
+            assert outs[0] and outs[0] == outs[1], argv
 
 
 class TestClosedStdout:

@@ -9,7 +9,6 @@ import patternkit.lemmas as lemmas
 from patternkit.cli import main
 from patternkit.core import (
     FiniteColoring,
-    PartialColoring,
     Pattern,
     PatternError,
     coloring_from_function,
@@ -40,7 +39,7 @@ class TestSuites:
     @pytest.mark.parametrize("kwargs, message", [
         ({"count": -5}, "count must be nonnegative, got -5"),
         ({"seed": -2}, "seed must be nonnegative, got -2"),
-        ({"names": ["duality", "nope", "nor-this"]}, "unknown suites: nope, nor-this"),
+        ({"names": ["duality", "nope", "nor-this"]}, "unknown suites: 'nope', 'nor-this'"),
         ({"names": ["duality", "join-divergence", "duality"]}, "suite 'duality' named twice"),
     ], ids=["negative-count", "negative-seed", "unknown-name", "repeated-name"])
     def test_rejects_bad_arguments(self, kwargs, message):
@@ -166,6 +165,30 @@ class TestCoin:
         assert a.getstate() == b.getstate()
 
 
+class TestBelow:
+    """`_below` and `_coins` against the generator's own methods: the same
+    values and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_randint_and_choice(self, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in range(1, 1001):
+            assert 3 + lemmas._below(a, n) == b.randint(3, n + 2)
+            seq = range(n)
+            assert seq[lemmas._below(a, n)] == b.choice(seq)
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_coins(self, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in range(80):
+            want = 0
+            for _ in range(n):
+                want = want << 1 | lemmas._coin(b)
+            assert lemmas._coins(a, n) == want
+            assert a.getstate() == b.getstate()
+
+
 class TestDraws:
     """The suites' draw helpers against references that make one `_coin` call
     per pair: the same values and the same generator state afterwards."""
@@ -200,15 +223,16 @@ class TestDraws:
 
 
 def _never_stabilized(rng):
-    # F empty and a size-2 pattern: rejected by both stabilized suites
-    return constant_coloring(4), PartialColoring({}), [0], [], parse_pattern("2:0")
+    # the draw behind both stabilized suites: F empty and a size-2 pattern,
+    # rejected by each of them
+    return constant_coloring(4).rows, [0], [], 0, parse_pattern("2:0")
 
 
 class TestAttemptCap:
     @pytest.mark.parametrize("suite, attr, stub", [
-        (lemmas.suite_stabilized_avoidance_equivalence, "_stabilized_instance",
+        (lemmas.suite_stabilized_avoidance_equivalence, "_stabilized_draw",
          _never_stabilized),
-        (lemmas.suite_avoidance_union, "_stabilized_instance", _never_stabilized),
+        (lemmas.suite_avoidance_union, "_stabilized_draw", _never_stabilized),
         (lemmas.suite_merging_union, "avoids", lambda f, H, p: False),
     ])
     def test_never_accepting_generator_exhausts(self, monkeypatch, suite, attr, stub):
@@ -218,7 +242,7 @@ class TestAttemptCap:
         assert result.runs == 0
 
     def test_cli_reports_exhausted(self, monkeypatch, capsys):
-        monkeypatch.setattr(lemmas, "_stabilized_instance", _never_stabilized)
+        monkeypatch.setattr(lemmas, "_stabilized_draw", _never_stabilized)
         code = main(["verify-lemmas", "--count", "2", "--suites", "avoidance-union"])
         rec = parse_record(capsys.readouterr().out.strip())
         assert code == 1

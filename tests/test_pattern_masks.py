@@ -193,6 +193,14 @@ def test_rows_by_code_every_code(size):
         assert rows == _pattern_matrix.__wrapped__(size, code)
 
 
+@pytest.mark.parametrize("size", range(1, 7))
+def test_rows_by_code_pair_by_pair(size):
+    # the byte-stride unpack against the rows built one pair at a time
+    for code, rows in enumerate(_rows_by_code(size)):
+        assert rows == pair_rows(size, code)
+    assert code == (1 << size * (size - 1) // 2) - 1
+
+
 def test_rows_by_code_seeded_codes_size_7():
     rng = random.Random(7)
     sample = {0, (1 << 21) - 1, *(rng.getrandbits(21) for _ in range(2000))}
