@@ -12,7 +12,8 @@ filling no cache.
 
 Packed rows sit at a stride of one byte up to size 8, every size a census
 accepts: row x is byte x, so one `int.to_bytes` unpacks all the rows at
-once.  Larger sizes pack at a stride of `size` bits and unpack row by row.
+once.  `_rows_of` packs larger sizes at a stride of `size` bits and unpacks
+them row by row; `_rows_by_code` streams byte-stride sizes only.
 
 The realizer search is the only one in the package: strong appearance,
 witnessed avoidance and the admissibility step of the avoiding-subset search
@@ -86,22 +87,16 @@ def _rows_by_code(size: int) -> Iterator[tuple[int, ...]]:
 
     Each pattern's packed rows are the sum of one entry per slice table (the
     entries set disjoint bits), the three lowest slices taken from one block
-    of at most 4,096 precomputed sums; no row tuple is cached."""
+    of at most 4,096 precomputed sums; no row tuple is cached.  Only the
+    byte-stride sizes, up to _BYTE_MAX_SIZE, stream: size 9 has 2^36 codes."""
+    if size > _BYTE_MAX_SIZE:
+        raise ValueError(f"rows streamed up to size {_BYTE_MAX_SIZE}, got {size}")
     tables = _slice_tables(size)[::-1]  # most significant slice first
     block = [sum(low) for low in itertools.product(*tables[-3:])]
-    if size <= _BYTE_MAX_SIZE:
-        width, little = itertools.repeat(size), itertools.repeat("little")
-        for high in itertools.product(*tables[:-3]):
-            packed = map(sum(high).__add__, block)
-            yield from map(tuple, map(int.to_bytes, packed, width, little))
-        return
-    row = (1 << size) - 1
-    shifts = range(0, size * size, size)
+    width, little = itertools.repeat(size), itertools.repeat("little")
     for high in itertools.product(*tables[:-3]):
-        top = sum(high)
-        for packed in block:
-            packed += top
-            yield tuple([packed >> shift & row for shift in shifts])
+        packed = map(sum(high).__add__, block)
+        yield from map(tuple, map(int.to_bytes, packed, width, little))
 
 
 def lex_least_realizer(rows, elems, prows, last=None) -> Optional[list[int]]:

@@ -62,15 +62,6 @@ class SuiteResult(NamedTuple):
         return not self.counterexamples and not self.skipped and not self.exhausted
 
 
-def _coin(rng: random.Random) -> int:
-    """rng.randint(0, 1), drawn from the generator exactly as CPython draws it
-    (two bits, redrawn while >= 2), without randint's call overhead."""
-    r = rng.getrandbits(2)
-    while r >= 2:
-        r = rng.getrandbits(2)
-    return r
-
-
 def _below(rng: random.Random, n: int) -> int:
     """rng.randrange(n), for n >= 1, drawn as CPython 3.11 draws it
     (`_randbelow_with_getrandbits`: n.bit_length() bits, redrawn while >= n).
@@ -83,9 +74,14 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
+def _coin(rng: random.Random) -> int:
+    """rng.randint(0, 1), without randint's call overhead."""
+    return _below(rng, 2)
+
+
 def _coins(rng: random.Random, n: int) -> int:
     """The code of n coins drawn as n calls of `_coin` would, the first coin
-    the top bit."""
+    the top bit; `_coin`'s draw is inlined, the one hot loop of the draws."""
     bits = rng.getrandbits
     code = 0
     for _ in range(n):
@@ -139,25 +135,22 @@ def _sampled(name: str, count: int,
                        exhausted=runs < count)
 
 
-def _no_note(code: int, rows: tuple[int, ...]) -> list[str]:
-    return [""]
-
-
 def _swept(name: str, sizes: range, holds: Callable[[int, tuple[int, ...]], bool],
-           notes: Callable[[int, tuple[int, ...]], list[str]] = _no_note
+           notes: Optional[Callable[[tuple[int, ...]], list[str]]] = None
            ) -> SuiteResult:
     """Check holds(code, rows) on every pattern of the given sizes, given by
     its code and row masks, in code order; every pattern is a run.  A failing
-    pattern gives one counterexample per note of notes(code, rows): the
-    pattern followed by the note.  Only the first five are kept, so a Pattern
-    is built for at most five failures."""
+    pattern gives one counterexample per note of notes(rows) (by default the
+    one empty note): the pattern followed by the note.  Only the first five
+    are kept, so a Pattern is built for at most five failures."""
     bad, runs = [], 0
     for n in sizes:
         verdicts = map(holds, itertools.count(), _rows_by_code(n))
         for code in itertools.compress(itertools.count(), map(operator.not_, verdicts)):
             if len(bad) < 5:
                 p = _coded(n, code)
-                bad += [f"{p}{note}" for note in notes(code, _rows_of(n, code))]
+                kept = notes(_rows_of(n, code)) if notes else [""]
+                bad += [f"{p}{note}" for note in kept]
         runs += 1 << n * (n - 1) // 2
     return SuiteResult(name, runs, tuple(bad[:5]), skipped=runs == 0)
 
@@ -186,11 +179,14 @@ def suite_default_merging(max_size: int = 6) -> SuiteResult:
         last = rows[-1]  # bit x: the color of (x, l-1)
         return 1 - (last & 1), last >> len(rows) - 2 & 1
 
+    # holds is the per-pattern test, kept free of a list per pattern (a
+    # comprehension here costs the sweep a quarter more); notes runs on at
+    # most five failures and names the colours that do not merge
     def holds(code, rows):
         first, final = colors(rows)
         return _i_merging(rows, first) and _i_merging(rows, final)
 
-    def notes(code, rows):
+    def notes(rows):
         return [f" color {i}" for i in colors(rows) if not _i_merging(rows, i)]
     return _swept("default-merging", range(2, max_size + 1), holds, notes)
 
@@ -243,7 +239,9 @@ def _stabilized(rows, E, F, coins, p):
 
 
 def _stabilized_instance(rng: random.Random):
-    """Random (f, g, E, F, p) with F stabilizing E under witness g."""
+    """Random (f, g, E, F, p) with F stabilizing E under witness g: the draw
+    of stabilized-avoidance-equivalence, which uses all of it, and the one
+    the tests check the built colorings on."""
     return _stabilized(*_stabilized_draw(rng))
 
 

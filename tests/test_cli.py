@@ -402,10 +402,6 @@ class TestInputErrors:
                                      "--stages", str(stages))
         assert err == f"error: builders capped at {MAX_STAGES} stages, got {stages}\n"
 
-    def test_stages_cap_above_every_use(self):
-        # the tests and the benchmark run at most 500 stages
-        assert MAX_STAGES >= 500
-
     def test_non_integer_lists(self, capsys, coloring_file):
         self.assert_user_error(capsys, "avoid-search", coloring_file, "2:0",
                                "--elements", "1,a")

@@ -224,6 +224,12 @@ def test_rows_by_code_streams_size_8():
     assert same and peak < 1 << 20
 
 
+def test_rows_by_code_refuses_size_9():
+    # the stream unpacks byte-stride rows only; size 9 would be 2^36 codes
+    with pytest.raises(ValueError, match="up to size 8, got 9"):
+        next(_rows_by_code(9))
+
+
 def test_equality_hash_and_order():
     ps = [pat(r) for r in REFS]
     assert len(set(ps)) == len(REFS)
