@@ -332,6 +332,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        # quoted, so that a newline in an extra argument stays on the line
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
+        return namespace
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(

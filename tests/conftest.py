@@ -1,10 +1,12 @@
+import itertools
 import random
 import signal
 from pathlib import Path
 
 import pytest
 
-from patternkit.core import FiniteColoring, coloring_from_function
+from patternkit import oracle
+from patternkit.core import FiniteColoring, Pattern, coloring_from_function
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TIME_LIMIT_S = 30
@@ -34,6 +36,23 @@ def time_limit():
 def random_coloring(rng: random.Random, window: int) -> FiniteColoring:
     # one draw per pair x < y, in lexicographic order
     return coloring_from_function(window, lambda x, y: rng.randint(0, 1))
+
+
+def random_pattern(rng: random.Random, lo: int, hi: int) -> Pattern:
+    # a size in [lo, hi], then one draw per pair in lexicographic order
+    size = rng.randint(lo, hi)
+    return Pattern(size, tuple(rng.randint(0, 1) for _ in range(size * (size - 1) // 2)))
+
+
+def all_patterns(size: int) -> list[Pattern]:
+    """Every pattern of the size, in the lexicographic order of its bits."""
+    return [Pattern(size, bits)
+            for bits in itertools.product((0, 1), repeat=size * (size - 1) // 2)]
+
+
+def all_colorings(window: int) -> list[FiniteColoring]:
+    """Every coloring of the window, ordered as the patterns of its size are."""
+    return [coloring_from_function(window, oracle.colour(p)) for p in all_patterns(window)]
 
 
 @pytest.fixture

@@ -6,11 +6,13 @@ import random
 import time
 from fractions import Fraction
 
+from patternkit import oracle
 from patternkit.core import (
     PartialColoring,
     Pattern,
     avoids,
     constant_coloring,
+    dual,
     find_realizer,
     parse_pattern,
     realizes,
@@ -30,7 +32,7 @@ from patternkit.classifier import (
     preserves_omega_hyp,
     preserves_one_2dim,
 )
-from patternkit.stabilize import fg_avoids, greedy_avoid_join
+from patternkit.stabilize import greedy_avoid_join
 from patternkit.constructions import (
     build_dnc_coloring,
     build_measure_coloring,
@@ -251,52 +253,31 @@ def _forcing_catalogue():
     return catalogue
 
 
-def _replay_omega_failure(f, X, p, phi, n, fail):
-    """The reported coloring must truly admit no witnessed subset."""
-    g = PartialColoring(fail)
-    Xn = [x for x in X if x <= n]
-    for k in range(len(Xn) + 1):
-        for rho in itertools.combinations(Xn, k):
-            assert not (fg_avoids(f, g, rho, p) and phi.satisfied_by(rho))
-
-
-def _replay_i_failure(f, X, p, phi, n, fail):
-    h0, h1 = (PartialColoring(h) for h in fail)
-    Xn = [x for x in X if x <= n]
-    for k in range(len(Xn) + 1):
-        for rho in itertools.combinations(Xn, k):
-            if len({h0(x) for x in rho}) > 1 or len({h1(x) for x in rho}) > 1:
-                continue
-            assert not (fg_avoids(f, h0, rho, p) and phi.satisfied_by(rho))
-
-
 def test_16_forcing_monotone_in_bound_with_checkable_failures():
     for kind, f, X, p, phi in _forcing_catalogue():
         previous = False
         for n in range(13):
+            # replay: a reported failing coloring truly admits no witnessed rho
+            Xn = [x for x in X if x <= n]
             if kind == "omega":
                 verdict, fail = eval_question_omega(f, [], X, p, phi, n,
                                                     collect_failure=True)
                 if not verdict:
-                    _replay_omega_failure(f, X, p, phi, n, fail)
+                    assert not oracle.some_witnessed(f, [], Xn, p, phi, PartialColoring(fail))
             elif kind == "i":
                 verdict, fail = eval_question_i(f, [], X, p, phi, n,
                                                 collect_failure=True)
                 if not verdict:
-                    _replay_i_failure(f, X, p, phi, n, fail)
+                    h0, h1 = (PartialColoring(h) for h in fail)
+                    assert not oracle.some_witnessed(f, [], Xn, p, phi, h0, (h0, h1))
             else:
-                from patternkit.core import dual
                 verdict, fail = eval_question_disjunctive(
                     f, [], [], X, p, dual(p), phi, phi, n,
                     collect_failure=True)
                 if not verdict:
                     g = PartialColoring(fail)
-                    Xn = [x for x in X if x <= n]
-                    for q in (p, dual(p)):
-                        for k in range(len(Xn) + 1):
-                            for rho in itertools.combinations(Xn, k):
-                                assert not (fg_avoids(f, g, rho, q)
-                                            and phi.satisfied_by(rho))
+                    assert not any(oracle.some_witnessed(f, [], Xn, q, phi, g)
+                                   for q in (p, dual(p)))
             if previous:
                 assert verdict, (kind, n)
             previous = previous or verdict

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from patternkit import oracle
 from patternkit.core import (
-    Pattern,
     PatternError,
     _coded,
     dual,
@@ -20,12 +20,7 @@ from patternkit.algebra import (
     join,
 )
 from patternkit.classifier import enumerate_patterns
-
-
-def _random_pattern(rng, max_size, min_size=1):
-    size = rng.randint(min_size, max_size)
-    return Pattern(size, tuple(rng.randint(0, 1)
-                               for _ in range(size * (size - 1) // 2)))
+from conftest import random_pattern
 
 
 class TestJoin:
@@ -41,20 +36,20 @@ class TestJoin:
         rng = random.Random(0)
         one = parse_pattern("1:")
         for _ in range(50):
-            p = _random_pattern(rng, 5)
+            p = random_pattern(rng, 1, 5)
             assert join(p, one) == p
             assert join(one, p) == p
 
     def test_join_size(self):
         rng = random.Random(1)
         for _ in range(50):
-            p, q = _random_pattern(rng, 5), _random_pattern(rng, 5)
+            p, q = random_pattern(rng, 1, 5), random_pattern(rng, 1, 5)
             assert join(p, q).size == p.size + q.size - 1
 
     def test_join_associative_random(self):
         rng = random.Random(2)
         for _ in range(500):
-            a, b, c = (_random_pattern(rng, 5) for _ in range(3))
+            a, b, c = (random_pattern(rng, 1, 5) for _ in range(3))
             assert join(join(a, b), c) == join(a, join(b, c))
 
     def test_join_definition_cases(self):
@@ -81,7 +76,7 @@ class TestDecompositions:
     def test_every_decomposition_rejoins(self):
         rng = random.Random(3)
         for _ in range(200):
-            p = _random_pattern(rng, 6, min_size=2)
+            p = random_pattern(rng, 2, 6)
             for left, right in decompositions(p):
                 assert left.size >= 2 and right.size >= 2
                 assert join(left, right) == p
@@ -120,7 +115,7 @@ class TestDivergence:
     def test_join_preserves_divergence(self):
         rng = random.Random(4)
         for _ in range(500):
-            p, q = _random_pattern(rng, 5), _random_pattern(rng, 5)
+            p, q = random_pattern(rng, 1, 5), random_pattern(rng, 1, 5)
             if is_divergent(p) or is_divergent(q):
                 assert is_divergent(join(p, q))
 
@@ -157,23 +152,12 @@ class TestMerging:
                     assert is_merging(p), p
 
 
-def _split_loop_merging(p, i):
-    # every contiguous split F = [0,k), G = [k,l-1) in turn
-    rows = p.rows
-    for k in range(1, p.size - 1):
-        F = (1 << k) - 1
-        G = (1 << p.size - 1) - 1 - F
-        if rows[-1] == (F if i else G) and {r & G for r in rows[:k]} in ({0}, {G}):
-            return False
-    return True
-
-
 class TestOneSplitMerging:
     @pytest.mark.parametrize("size", range(1, 7))
     def test_agrees_with_split_loop_exhaustively(self, size):
         for p in enumerate_patterns(size):
             for i in (0, 1):
-                assert is_i_merging(p, i) == _split_loop_merging(p, i), (p, i)
+                assert is_i_merging(p, i) == oracle.is_i_merging(p, i), (p, i)
 
     @pytest.mark.parametrize("size", range(7, 13))
     def test_agrees_with_split_loop_seeded(self, size):
@@ -194,7 +178,7 @@ class TestOneSplitMerging:
                     patterns.append(pattern_from_colors(size, color))
         for p in patterns:
             for i in (0, 1):
-                assert is_i_merging(p, i) == _split_loop_merging(p, i), (p, i)
+                assert is_i_merging(p, i) == oracle.is_i_merging(p, i), (p, i)
         assert not all(is_i_merging(p, i) for p in patterns for i in (0, 1))
 
     @pytest.mark.parametrize("text", ["1:", "2:0", "3:010", "5:0111000101"])
@@ -220,7 +204,7 @@ class TestClassify:
     def test_flag_consistency(self):
         rng = random.Random(5)
         for _ in range(300):
-            p = _random_pattern(rng, 6)
+            p = random_pattern(rng, 1, 6)
             fl = classify(p)
             assert fl.divergent == (not fl.convergent)
             assert fl.irreducible == (not fl.reducible)

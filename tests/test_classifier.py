@@ -1,9 +1,10 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
-from patternkit import classifier
+from patternkit import classifier, oracle
 from patternkit.cli import main
 from patternkit.core import PatternError, dual, is_subpattern, parse_pattern
 from patternkit.algebra import classify, join
@@ -16,6 +17,7 @@ from patternkit.classifier import (
     report,
     subpatterns,
 )
+from conftest import random_pattern
 
 HEM = join(parse_pattern("3:010"), parse_pattern("3:101"))
 
@@ -86,9 +88,7 @@ class TestVerdicts:
         hits = [r.pattern for r in census(4) if r.omega_2dim]
         assert hits
         for p in hits:
-            assert any(
-                (fl := classify(q)).divergent and fl.irreducible and fl.merging
-                for q in subpatterns(p, "monotone"))
+            assert "omega_2dim" in oracle.least_witnesses(p)
 
     def test_verdict_implication_chain(self):
         for size in range(1, 5):
@@ -189,56 +189,20 @@ class TestCensus:
 
 
 # ---------------------------------------------------------------------------
-# differential check against the per-verdict scans the single witness scan
-# replaced: three `any` scans for the predicates, one sorted pass per witness
+# differential check against the oracle's one sorted scan over the monotone
+# sub-patterns, each classified from its pair colours
 
 
-def _old_omega_hyp(p):
-    return any(classify(q).divergent and classify(q).irreducible
-               for q in subpatterns(p, "monotone"))
-
-
-def _old_one_2dim(p):
-    has0 = has1 = False
-    for q in subpatterns(p, "monotone"):
-        fl = classify(q)
-        if fl.divergent and fl.irreducible:
-            has0 = has0 or fl.merging0
-            has1 = has1 or fl.merging1
-    return has0 and has1
-
-
-def _old_omega_2dim(p):
-    return any((fl := classify(q)).divergent and fl.irreducible and fl.merging
-               for q in subpatterns(p, "monotone"))
-
-
-def _old_least_witness(p, want):
-    for q in sorted(subpatterns(p, "monotone"), key=lambda q: (q.size, q.bits)):
-        if want(classify(q)):
-            return q
-    return None
-
-
-def _old_report(p):
-    """(omega_hyp, one_2dim, omega_2dim, witnesses) as the four passes gave them."""
-    witnesses = {}
-    w = _old_least_witness(p, lambda fl: fl.divergent and fl.irreducible)
-    if w is not None:
-        witnesses["omega_hyp"] = str(w)
-    w0 = _old_least_witness(
-        p, lambda fl: fl.divergent and fl.irreducible and fl.merging0)
-    w1 = _old_least_witness(
-        p, lambda fl: fl.divergent and fl.irreducible and fl.merging1)
-    if w0 is not None and w1 is not None:
-        witnesses["one_2dim_0merging"] = str(w0)
-        witnesses["one_2dim_1merging"] = str(w1)
-    wm = _old_least_witness(
-        p, lambda fl: fl.divergent and fl.irreducible and fl.merging)
-    if wm is not None:
-        witnesses["omega_2dim"] = str(wm)
-    return (w is not None, w0 is not None and w1 is not None, wm is not None,
-            witnesses)
+def assert_matches_oracle(p):
+    """The verdicts and the report of p are the oracle's; returns the verdicts."""
+    want = oracle.report(p)
+    assert (preserves_omega_hyp(p), preserves_one_2dim(p), preserves_omega_2dim(p)) \
+        == want[:3], p
+    rep = report(p)
+    assert (rep.verdict_omega_hyp, rep.verdict_one_2dim,
+            rep.verdict_omega_2dim, rep.witnesses) == want, p
+    assert rep.flags == classify(p)
+    return want[:3]
 
 
 class TestWitnessScanDifferential:
@@ -247,13 +211,13 @@ class TestWitnessScanDifferential:
         rows = tuple(census(size))
         assert [r.pattern for r in rows] == enumerate_patterns(size)
         for row in rows:
-            p = row.pattern
-            verdicts = (_old_omega_hyp(p), _old_one_2dim(p), _old_omega_2dim(p))
-            assert (preserves_omega_hyp(p), preserves_one_2dim(p),
-                    preserves_omega_2dim(p)) == verdicts
+            verdicts = assert_matches_oracle(row.pattern)
             assert (row.omega_hyp, row.one_2dim, row.omega_2dim) == verdicts
-            assert row.flags == classify(p)
-            rep = report(p)
-            assert (rep.verdict_omega_hyp, rep.verdict_one_2dim,
-                    rep.verdict_omega_2dim, rep.witnesses) == _old_report(p)
-            assert rep.flags == classify(p)
+            assert row.flags == classify(row.pattern)
+
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_matches_oracle_seeded(self, size):
+        # past the exhaustive sizes: 100 seeded patterns of each size
+        rng = random.Random(size)
+        for _ in range(100):
+            assert_matches_oracle(random_pattern(rng, size, size))

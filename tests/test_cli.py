@@ -510,9 +510,9 @@ class TestInputErrors:
         assert err == "error: window must be >= 0\n"
 
     @pytest.mark.parametrize("argv", [("census", "x"), ("census",), ("nosuch",),
-                                      ("census", "3", "--bogus")],
+                                      ("census", "3", "--bogus"), ("classify", "3:010", "x\ny")],
                              ids=["bad-value", "missing-argument", "unknown-command",
-                                  "unknown-option"])
+                                  "unknown-option", "extra-argument-newline"])
     def test_parser_errors_one_line(self, capsys, argv):
         self.assert_user_error(capsys, *argv)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import patternkit
+from patternkit import oracle
 from patternkit.core import (
     FiniteColoring,
     PatternError,
@@ -17,49 +18,40 @@ from patternkit.core import (
     flip,
 )
 from patternkit.io import format_coloring, parse_coloring
+from conftest import all_patterns
 
 
 def all_colorings(window):
-    """Every coloring of the window as a dict {(x, y): color} over x < y."""
-    pairs = list(itertools.combinations(range(window), 2))
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        yield dict(zip(pairs, bits))
+    """Every coloring of the window as its pair colours: a function of two
+    distinct vertices, read from the bits of a pattern of the window's size."""
+    return [oracle.colour(p) for p in all_patterns(window)]
 
 
-def color(values, x, y):
-    return values[(min(x, y), max(x, y))]
-
-
-def reference_rows(window, values):
-    return tuple(sum(color(values, x, y) << y for y in range(window) if y != x)
-                 for x in range(window))
-
-
-def reference_text(window, values):
-    lines = [str(window)] + ["".join(str(values[(x, y)]) for y in range(x + 1, window))
+def reference_text(window, c):
+    lines = [str(window)] + ["".join(str(c(x, y)) for y in range(x + 1, window))
                              for x in range(window - 1)]
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("window", range(1, 6))
 def test_every_coloring_matches_per_pair_reference(window):
-    for values in all_colorings(window):
-        f = coloring_from_function(window, lambda x, y: values[(x, y)])
-        assert f == FiniteColoring(window, reference_rows(window, values))
-        assert hash(f) == hash(FiniteColoring(window, reference_rows(window, values)))
+    for c in all_colorings(window):
+        f = coloring_from_function(window, c)
+        assert f == FiniteColoring(window, oracle.rows(c, window))
+        assert hash(f) == hash(FiniteColoring(window, oracle.rows(c, window)))
         g = flip(f)
         for x, y in itertools.permutations(range(window), 2):
-            assert f(x, y) == color(values, x, y)
-            assert g(x, y) == 1 - color(values, x, y)
+            assert f(x, y) == c(x, y)
+            assert g(x, y) == 1 - c(x, y)
         text = format_coloring(f)
-        assert text == reference_text(window, values)
+        assert text == reference_text(window, c)
         assert parse_coloring(text) == f
 
 
 @pytest.mark.parametrize("window", range(1, 6))
 def test_every_malformed_row_is_rejected(window):
-    for values in all_colorings(window):
-        rows = reference_rows(window, values)
+    for c in all_colorings(window):
+        rows = oracle.rows(c, window)
         for x in range(window):
             # one bit flipped above or below the diagonal breaks symmetry, the
             # diagonal bit and a bit at the window are out of place

@@ -3,10 +3,10 @@ import re
 
 import pytest
 
+from patternkit import oracle
 from patternkit.core import PartialColoring, PatternError, constant_coloring, parse_pattern
 from patternkit.forcing import (
     MAX_BOUND,
-    BoundedPredicate,
     catalogue_predicate,
     eval_question_disjunctive,
     eval_question_i,
@@ -18,7 +18,6 @@ from patternkit.forcing import (
     pred_size_at_least,
     pred_true,
 )
-from patternkit.stabilize import fg_avoids
 from conftest import random_coloring
 
 P = parse_pattern("3:010")
@@ -101,12 +100,7 @@ class TestOmegaQuestion:
         assert not verdict
         assert set(fail) == set(range(9))
         # replay: the reported coloring really admits no witnessed subset
-        g = PartialColoring(fail)
-        Xn = [x for x in range(1, 9)]
-        import itertools
-        for k in range(len(Xn) + 1):
-            for rho in itertools.combinations(Xn, k):
-                assert not (fg_avoids(f, g, rho, P) and phi.satisfied_by(rho))
+        assert not oracle.some_witnessed(f, [], range(1, 9), P, phi, PartialColoring(fail))
 
     def test_stem_must_be_below_reservoir(self):
         f = constant_coloring(10)

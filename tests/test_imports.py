@@ -7,6 +7,7 @@ loads `dataclasses` (with `inspect`, `ast`, `dis` and `tokenize`, about 10 ms
 a process), and only the measure checks load `fractions`.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -111,6 +112,25 @@ def cli_code(tmp_path, argv) -> str:
             "from patternkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0")
+
+
+def package_imports(path: Path) -> set[str]:
+    """The names a source file imports: `a.b` and `from a import b` give a and b."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for a in node.names for part in a.name.split(".")}
+            names |= set((getattr(node, "module", None) or "").split("."))
+    return names
+
+
+def test_only_the_tests_import_the_oracle():
+    # the brute-force oracle checks the package, so no module of it may run
+    # the oracle, and the oracle may run none of the code it checks
+    paths = {p.stem: p for p in (Path(SRC) / "patternkit").glob("*.py")}
+    assert [m for m, p in paths.items() if m != "oracle" and "oracle" in package_imports(p)] == []
+    assert not package_imports(paths["oracle"]) & {
+        "_kernels", "algebra", "classifier", "stabilize", "forcing", "constructions", "lemmas"}
 
 
 def test_package_import_loads_no_submodule():

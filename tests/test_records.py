@@ -31,6 +31,7 @@ from patternkit.core import (
 from patternkit.forcing import BoundedPredicate
 from patternkit.lemmas import SuiteResult
 from patternkit.stabilize import BinaryTree, Condition, GreedySplit
+from conftest import all_patterns
 
 
 def _never(F):
@@ -155,8 +156,7 @@ def test_derived_properties():
     assert TraceEvent(0, "act", "R", (("block", "1"),)).get("block") == "1"
 
 
-ALL_PATTERNS = [_coded(size, code) for size in range(1, 5)
-                for code in range(1 << size * (size - 1) // 2)]
+ALL_PATTERNS = [p for size in range(1, 5) for p in all_patterns(size)]
 
 
 class TestPattern:

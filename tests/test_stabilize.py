@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from patternkit import oracle
 from patternkit.core import (
     PartialColoring,
     Pattern,
@@ -29,7 +30,7 @@ from patternkit.stabilize import (
     stabilizes,
     tree_to_coloring,
 )
-from conftest import random_coloring
+from conftest import all_colorings, random_coloring, random_pattern
 
 
 class TestStabilizes:
@@ -106,10 +107,7 @@ class TestWitnessedAvoidance:
             Es, Fs = set(E), set(F)
             f = coloring_from_function(
                 window, lambda x, y: g(x) if x in Es and y in Fs else f0(x, y))
-            size = rng.randint(2, 4)
-            from patternkit.core import Pattern
-            p = Pattern(size, tuple(rng.randint(0, 1)
-                                    for _ in range(size * (size - 1) // 2)))
+            p = random_pattern(rng, 2, 4)
             runs += 1
             lhs = fg_avoids(f, g, E, p)
             rhs = all(avoids(f, sorted(set(E) | {y}), p) for y in F)
@@ -289,11 +287,7 @@ class TestBruteForceOracle:
             best = max_avoiding_subset(f, range(9), p)
             assert avoids(f, best, p)
             # maximality: no strictly larger avoiding subset exists
-            import itertools
-            for size in range(len(best) + 1, 10):
-                assert all(not avoids(f, sub, p)
-                           for sub in itertools.combinations(range(9), size))
-            break  # the exhaustive cross-check above is expensive; once is enough
+            assert len(best) == len(oracle.max_avoiding(f, range(9), p))
 
 
 class TestTrees:
@@ -391,10 +385,7 @@ class TestGreedyPickLoopDifferential:
                 == _greedy_outcome(_old_greedy_avoid_join, f, H, p, q))
 
     def test_window4_exhaustive(self):
-        pairs = list(itertools.combinations(range(4), 2))
-        for bits in itertools.product((0, 1), repeat=len(pairs)):
-            colors = dict(zip(pairs, bits))
-            f = coloring_from_function(4, lambda x, y: colors[(x, y)])
+        for f in all_colorings(4):
             for r in range(1, 5):
                 for H in itertools.combinations(range(4), r):
                     for p in self.SMALL:
