@@ -217,22 +217,24 @@ def cmd_simulate(args) -> int:
         f, trace = build_stable_2dim_coloring(bs, args.stages)
         coloring_text = pio.format_stable_coloring(f)
     rep = verify_trace(trace, f)
+    trace_text = "\n".join(pio.trace_records(trace)) + "\n"
     if args.coloring_out:
         _write(args.coloring_out, coloring_text)
     if args.trace_out:
-        _write(args.trace_out, "\n".join(pio.trace_records(trace)) + "\n")
+        _write(args.trace_out, trace_text)
+    checks = []
     for res in rep.results:
         rec = {"check": res.name, "passed": int(res.passed)}
         if res.stage is not None:
             rec["stage"] = res.stage
         if res.message:
             rec["note"] = res.message.replace(" ", "_")
-        print(pio.emit_record(rec))
+        checks.append(pio.emit_record(rec) + "\n")
+    sys.stdout.write("".join(checks))
     if not args.coloring_out:
         sys.stdout.write(coloring_text)
     if not args.trace_out:
-        for line in pio.trace_records(trace):
-            print(line)
+        sys.stdout.write(trace_text)  # one write for thousands of lines
     return 0 if rep.passed else 1
 
 

@@ -31,8 +31,9 @@ if TYPE_CHECKING:
 
 # The most stages a builder runs.  The builders hold one row per stage, so the
 # cost grows with its square: at the cap a cold `simulate` on the test and
-# benchmark oracles took 2.0-6.3 s and 210-290 MB, and without it
-# --stages 10^12 died allocating its rows.
+# benchmark oracles took 1.3-3.6 s and 210-290 MB, about 1.1 s of it
+# FiniteColoring's symmetry check, and without it --stages 10^12 died
+# allocating its rows.
 MAX_STAGES = 10_000
 
 
@@ -396,6 +397,58 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
 
 
 # ---------------------------------------------------------------------------
+# shared by the finite-injury builders
+
+
+class _CommittedRows:
+    """A finite-injury builder's commitments and the rows they color.
+
+    Stage s colors each pair (x, s) of a committed vertex x < s with x's
+    limit color, before the stage acts.  Row s takes those bits at once, as
+    the mask of the vertices committed to 1; row x takes the bits of a whole
+    commitment interval at once, when x is recommitted and at the end.  So
+    until then row x lacks the pairs of its current interval, and a builder
+    reads a finished pair x < y from row y."""
+
+    __slots__ = ("rows", "limits", "ones", "_since")
+
+    def __init__(self, stages: int):
+        self.rows = [0] * stages
+        self.limits: dict[int, int] = {}  # vertex -> limit color, in commit order
+        self.ones = 0  # the vertices committed to 1
+        self._since: dict[int, int] = {}  # vertex -> first stage it colors
+
+    def color(self, s: int) -> None:
+        self.rows[s] |= self.ones
+
+    def commit(self, x: int, c: int, s: int) -> None:
+        """Commit x to c at stage s; the stages after s color with it."""
+        if self.limits.get(x):  # the old commitment colored stages since..s
+            self.rows[x] |= (2 << s) - (1 << self._since[x])
+        self.limits[x] = c
+        self._since[x] = s + 1
+        self.ones = self.ones | 1 << x if c else self.ones & ~(1 << x)
+
+    def finish(self) -> tuple[int, ...]:
+        rows, top = self.rows, 1 << len(self.rows)
+        for x, c in self.limits.items():
+            if c:
+                rows[x] |= top - (1 << self._since[x])
+        return tuple(rows)
+
+
+def _wake_table(stages: int, wake_stages: Iterable[Iterable[int]]) -> dict[int, list[int]]:
+    """Stage -> the requirements, in priority order, given a wake stage
+    there by wake_stages (one iterable per requirement)."""
+    table: dict[int, list[int]] = {}
+    for j, ss in enumerate(wake_stages):
+        for s in set(ss):
+            if 0 <= s < stages:
+                table.setdefault(s, []).append(j)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # finite-injury builder against prefix functionals (measure requirements)
 
 
@@ -405,7 +458,14 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     """Marker/state machine: the highest-priority strategy whose attention
     measure clears its threshold stacks the interval [marker, stage] onto its
     state, moves markers, injures lower priorities, and commits the stacked
-    intervals to the limit colors prescribed by its pattern."""
+    intervals to the limit colors prescribed by its pattern.
+
+    A requirement's attention reads its marker and state, which change only
+    when it or a higher one acts, and the entries qualifying at the stage,
+    which only grow, each at its stage, its prefix length or one of its
+    elements.  An action moves the actor's marker and every lower one to the
+    next stage, where no entry qualifies yet.  So a stage asks only the
+    requirements whose functional has such a wake stage there."""
     _check_stages(stages)
     if len(fs) != len(patterns):
         raise PatternError("one pattern per functional required")
@@ -414,52 +474,48 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     n = len(fs)
     markers = [0] * n
     states: list[list[range]] = [[] for _ in range(n)]
-    commitments: dict[int, int] = {}
-    rows = [0] * stages
+    committed = _CommittedRows(stages)
     events: list[TraceEvent] = []
+    wake = _wake_table(stages, ((x for tau, s0, elems in fn.entries
+                                 for x in (s0, len(tau), *elems)) for fn in fs))
 
     for s in range(stages):
         # color first: the attention stage itself lies inside the interval
         # being stacked, so it must carry the commitments in force before
         # this attention
-        for x, c in commitments.items():  # every committed x lies below s
-            rows[x] |= c << s
-            rows[s] |= c << x
-        winner = next((j for j in range(n)
-                       if requires_attention_measure(states[j], fs[j],
-                                                     markers[j], s, patterns[j])),
-                      None)
-        if winner is not None:
-            j, p = winner, patterns[winner]
-            req = f"R[{j}]"
-            t = len(states[j])
-            F_t = range(markers[j], s + 1)
-            states[j].append(F_t)
-            events.append(TraceEvent(s, "attention", req,
-                                     _detail(length=t + 1,
-                                             block=",".join(map(str, F_t)))))
-            markers[j] = s + 1
-            events.append(TraceEvent(s, "marker", req, _detail(to=s + 1)))
-            for jj in range(winner + 1, n):
-                if states[jj] or markers[jj] < s + 1:
-                    events.append(TraceEvent(s, "injury", f"R[{jj}]",
-                                             _detail(by=req)))
-                states[jj] = []
-                markers[jj] = max(markers[jj], s + 1)
-            if t < p.size - 1:
-                for i, F_i in enumerate(states[j]):
-                    c = p(i, t + 1)
-                    for x in F_i:
-                        commitments[x] = c
-                        events.append(TraceEvent(s, "commit", req,
-                                                 _detail(x=x, limit=c, start=s)))
-    f = FiniteColoring(stages, tuple(rows))
+        committed.color(s)
+        j = next((j for j in wake.get(s, ())
+                  if requires_attention_measure(states[j], fs[j], markers[j], s, patterns[j])),
+                 None)
+        if j is None:
+            continue
+        p, req = patterns[j], f"R[{j}]"
+        t = len(states[j])
+        F_t = range(markers[j], s + 1)
+        states[j].append(F_t)
+        events.append(TraceEvent(s, "attention", req,
+                                 _detail(length=t + 1, block=",".join(map(str, F_t)))))
+        markers[j] = s + 1
+        events.append(TraceEvent(s, "marker", req, _detail(to=s + 1)))
+        for jj in range(j + 1, n):
+            if states[jj] or markers[jj] < s + 1:
+                events.append(TraceEvent(s, "injury", f"R[{jj}]", _detail(by=req)))
+            states[jj] = []
+            markers[jj] = max(markers[jj], s + 1)
+        if t < p.size - 1:
+            for i, F_i in enumerate(states[j]):
+                c = p(i, t + 1)
+                for x in F_i:
+                    committed.commit(x, c, s)
+                    events.append(TraceEvent(s, "commit", req,
+                                             _detail(x=x, limit=c, start=s)))
+    f = FiniteColoring(stages, committed.finish())
     trace = ConstructionTrace(
         "measure", stages, tuple(events),
         final={
             "states": {f"R[{j}]": [list(F) for F in states[j]] for j in range(n)},
             "markers": {f"R[{j}]": markers[j] for j in range(n)},
-            "commitments": dict(commitments),
+            "commitments": dict(committed.limits),
         },
         aux={"functionals": list(fs), "patterns": list(patterns)},
     )
@@ -475,24 +531,40 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
     """Two-step attention machine: a first attention restrains a primary set
     and commits it away from the target limit class; a second attention,
     available once a primary/secondary pair with the right cross color has
-    emerged in the built coloring, commits the pair to its final classes."""
+    emerged in the built coloring, commits the pair to its final classes.
+
+    A requirement's answer reads its status and the higher restraints, which
+    change only when it or a higher one acts; its functional's sets in
+    effect, which change at an entry's stage; whether each set lies below
+    the stage, which changes at max(S) + 1; and cross colors of pairs below
+    the stage, which are final.  So a stage asks the requirements whose
+    functional has such a wake stage there and, after an action, every
+    requirement from the actor down; the others keep their answer, none."""
     _check_stages(stages)
     n = 2 * len(bs)
     labels = [f"R[{j // 2},{j % 2}]" for j in range(n)]
     status = ["none"] * n   # none / partial / full
     restraints: list[set[int]] = [set() for _ in range(n)]
-    commitments: dict[int, int] = {}
-    rows = [0] * stages
+    committed = _CommittedRows(stages)
+    rows = committed.rows
     events: list[TraceEvent] = []
+    # both requirements of a functional wake at each of its entries' stages
+    # and at max(S) + 1 for each nonempty entry set S
+    entries = [fn.primary + fn.secondary for fn in bs for _i in (0, 1)]
+    wake = _wake_table(stages, ([*(s0 for *_key, s0, _S in es),
+                                 *(max(S) + 1 for *_key, _s0, S in es if S)]
+                                for es in entries))
+    ask_from = 0  # the first requirement whose answer is not known to be none
 
     for s in range(stages):
-        for x, c in commitments.items():  # every committed x lies below s
-            rows[x] |= c << s
-            rows[s] |= c << x
-        higher: set[int] = set()
-        for j in range(n):
+        committed.color(s)
+        asked = [j for j in wake.get(s, ()) if j < ask_from]
+        asked += range(ask_from, n)
+        ask_from = n
+        for j in asked:
             e, i = divmod(j, 2)
             fn = bs[e]
+            higher = set().union(*restraints[:j])
 
             def fits(S):  # nonempty, inside (e, s) and free of higher restraints
                 return S and e < min(S) and max(S) < s and not S & higher
@@ -502,8 +574,9 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
             if status[j] != "full":
                 for nn, mm in fn.secondary_args():
                     E, F = fn.E(nn, s), fn.F(nn, mm, s)
+                    # pair (x, y), x < y < s, was colored at stage y
                     if (fits(E) and fits(F) and max(E) < min(F)
-                            and all(rows[x] >> y & 1 == 1 - i for x in E for y in F)):
+                            and all(rows[y] >> x & 1 == 1 - i for x in E for y in F)):
                         action = (_detail(kind="second", n=nn, m=mm), "full",
                                   ((E, i), (F, 1 - i)))
                         break
@@ -514,7 +587,6 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
                         action = (_detail(kind="first", n=nn), "partial", ((E, 1 - i),))
                         break
             if action is None:
-                higher |= restraints[j]
                 continue
             detail, status[j], pairs = action
             restraints[j] = set().union(*(S for S, _c in pairs))
@@ -523,7 +595,7 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
                                      _detail(elements=",".join(map(str, sorted(restraints[j]))))))
             for S, c in pairs:
                 for x in sorted(S):
-                    commitments[x] = c
+                    committed.commit(x, c, s)
                     events.append(TraceEvent(s, "commit", labels[j],
                                              _detail(x=x, limit=c, start=s)))
             for jj in range(j + 1, n):
@@ -531,14 +603,15 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
                     events.append(TraceEvent(s, "injury", labels[jj], _detail(by=labels[j])))
                 status[jj] = "none"
                 restraints[jj] = set()
+            ask_from = j
             break
 
-    f = FiniteColoring(stages, tuple(rows))
-    limits = tuple(commitments.get(x, 0) for x in range(stages))
+    f = FiniteColoring(stages, committed.finish())
+    limits = tuple(committed.limits.get(x, 0) for x in range(stages))
     sc = StableColoring(f, limits)
     trace = ConstructionTrace(
         "stable2dim", stages, tuple(events),
-        final={"satisfied": dict(zip(labels, status)), "commitments": dict(commitments)},
+        final={"satisfied": dict(zip(labels, status)), "commitments": dict(committed.limits)},
     )
     return sc, trace
 
@@ -583,7 +656,13 @@ def _check_restraints(trace: ConstructionTrace, f) -> CheckResult:
 
 
 def _check_commitments(trace: ConstructionTrace, f) -> CheckResult:
+    """Color events match the coloring, and each commit's limit color holds
+    for its vertex x at every stage of its interval: from the stage after the
+    commit (and after x) up to and including the stage of x's next commit,
+    which a builder colors before it acts, or else to the end of the window.
+    An interval outside the window raises PatternError, as the pair does."""
     base = f.base if isinstance(f, StableColoring) else f
+    rows, window = base.rows, base.window
     commits: dict[int, list[tuple[int, int]]] = {}
     for ev in trace.events:
         if ev.kind == "commit":
@@ -592,17 +671,26 @@ def _check_commitments(trace: ConstructionTrace, f) -> CheckResult:
         elif ev.kind == "color":
             # explicit color events must match the finished coloring
             x, y, c = int(ev.get("x")), int(ev.get("y")), int(ev.get("c"))
-            if base(x, y) != c:
+            if x == y or not (0 <= x < window and 0 <= y < window):
+                base(x, y)  # raises
+            if rows[x] >> y & 1 != c:
                 return CheckResult("commitments", False, ev.stage,
                                    f"color event ({x},{y})={c} contradicts coloring")
     for x, seq in commits.items():
         seq.sort()
         for idx, (start, c) in enumerate(seq):
-            end = seq[idx + 1][0] if idx + 1 < len(seq) else base.window
-            for s in range(max(start + 1, x + 1), end):
-                if base(x, s) != c:
-                    return CheckResult("commitments", False, s,
-                                       f"vertex {x} committed to {c} but colored {base(x, s)}")
+            lo = max(start + 1, x + 1)
+            hi = seq[idx + 1][0] if idx + 1 < len(seq) else window - 1
+            if lo > hi:
+                continue
+            if x < 0 or hi >= window:
+                base(x, hi)  # raises
+            mask = (2 << hi) - (1 << lo)
+            bad = (rows[x] ^ -c) & mask if c in (0, 1) else mask
+            if bad:
+                s = (bad & -bad).bit_length() - 1
+                return CheckResult("commitments", False, s,
+                                   f"vertex {x} committed to {c} but colored {rows[x] >> s & 1}")
     return CheckResult("commitments", True)
 
 

@@ -94,12 +94,6 @@ class TestIrreducibility:
             assert is_irreducible(parse_pattern(text))
             assert not decompositions(parse_pattern(text))
 
-    def test_methods_agree_exhaustively_small(self):
-        # the criterion against the definition: no decomposition into a join
-        for size in range(1, 6):
-            for p in enumerate_patterns(size):
-                assert is_irreducible(p) == (not decompositions(p)), p
-
 
 class TestDivergence:
     def test_divergent_triple(self):
@@ -138,18 +132,6 @@ class TestMerging:
     def test_is_merging_examples(self):
         assert is_merging(parse_pattern("3:000"))
         assert not is_merging(parse_pattern("3:010"))
-
-    def test_default_merging_colors_exhaustive(self):
-        for size in range(2, 6):
-            for p in enumerate_patterns(size):
-                assert is_i_merging(p, 1 - p(0, size - 1))
-                assert is_i_merging(p, p(size - 2, size - 1))
-
-    def test_convergent_implies_merging_exhaustive(self):
-        for size in range(3, 6):
-            for p in enumerate_patterns(size):
-                if not is_divergent(p):
-                    assert is_merging(p), p
 
 
 class TestOneSplitMerging:

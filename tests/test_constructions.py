@@ -41,7 +41,7 @@ from patternkit.constructions import (
     verify_trace,
 )
 from patternkit.io import parse_approx_oracle, parse_biarray_oracle, parse_measure_oracle
-from conftest import random_coloring
+from conftest import random_coloring, random_pattern
 
 
 def builder_digest(f, trace) -> tuple[int, str]:
@@ -161,6 +161,193 @@ def dnc_rebuilt(o: ApproxOracle, stages: int):
                 events.append((s, "color", req, (("x", str(x)), ("y", str(s)), ("c", str(c)))))
             events.append((s, "act", req, (("block", ",".join(map(str, pick))),)))
     return rows, events
+
+
+def measure_rebuilt(fs, patterns, stages):
+    """The measure stage loop as it was before it kept attention verdicts and
+    wrote rows lazily: every stage colours each committed vertex's pair and
+    asks every requirement in turn.  Returns the rows, the (stage, kind,
+    requirement, detail) of every event and the final state."""
+    n = len(fs)
+    markers, states, commitments = [0] * n, [[] for _ in range(n)], {}
+    rows, events = [0] * stages, []
+    for s in range(stages):
+        for x, c in commitments.items():
+            rows[x] |= c << s
+            rows[s] |= c << x
+        winner = next((j for j in range(n) if requires_attention_measure(
+            states[j], fs[j], markers[j], s, patterns[j])), None)
+        if winner is None:
+            continue
+        j, p, req = winner, patterns[winner], f"R[{winner}]"
+        t = len(states[j])
+        F_t = range(markers[j], s + 1)
+        states[j].append(F_t)
+        events.append((s, "attention", req,
+                       (("length", str(t + 1)), ("block", ",".join(map(str, F_t))))))
+        markers[j] = s + 1
+        events.append((s, "marker", req, (("to", str(s + 1)),)))
+        for jj in range(j + 1, n):
+            if states[jj] or markers[jj] < s + 1:
+                events.append((s, "injury", f"R[{jj}]", (("by", req),)))
+            states[jj] = []
+            markers[jj] = max(markers[jj], s + 1)
+        if t < p.size - 1:
+            for i, F_i in enumerate(states[j]):
+                c = p(i, t + 1)
+                for x in F_i:
+                    commitments[x] = c
+                    events.append((s, "commit", req,
+                                   (("x", str(x)), ("limit", str(c)), ("start", str(s)))))
+    final = {"states": {f"R[{j}]": [list(F) for F in states[j]] for j in range(n)},
+             "markers": {f"R[{j}]": markers[j] for j in range(n)},
+             "commitments": commitments}
+    return rows, events, final
+
+
+def stable2dim_rebuilt(bs, stages):
+    """The stable2dim stage loop as it was before it kept answers and wrote
+    rows lazily: every stage colours each committed vertex's pair and asks
+    every requirement in turn until one acts.  Returns the rows, the events
+    as measure_rebuilt does, and the final state."""
+    n = 2 * len(bs)
+    labels = [f"R[{j // 2},{j % 2}]" for j in range(n)]
+    status, restraints, commitments = ["none"] * n, [set() for _ in range(n)], {}
+    rows, events = [0] * stages, []
+    for s in range(stages):
+        for x, c in commitments.items():
+            rows[x] |= c << s
+            rows[s] |= c << x
+        higher = set()
+        for j in range(n):
+            e, i = divmod(j, 2)
+            fn = bs[e]
+
+            def fits(S):
+                return S and e < min(S) and max(S) < s and not S & higher
+
+            action = None
+            if status[j] != "full":
+                for nn, mm in fn.secondary_args():
+                    E, F = fn.E(nn, s), fn.F(nn, mm, s)
+                    if (fits(E) and fits(F) and max(E) < min(F)
+                            and all(rows[x] >> y & 1 == 1 - i for x in E for y in F)):
+                        action = ((("kind", "second"), ("n", str(nn)), ("m", str(mm))),
+                                  "full", ((E, i), (F, 1 - i)))
+                        break
+            if action is None and status[j] == "none":
+                for nn in fn.primary_args():
+                    E = fn.E(nn, s)
+                    if fits(E):
+                        action = ((("kind", "first"), ("n", str(nn))), "partial",
+                                  ((E, 1 - i),))
+                        break
+            if action is None:
+                higher |= restraints[j]
+                continue
+            detail, status[j], pairs = action
+            restraints[j] = set().union(*(S for S, _c in pairs))
+            events.append((s, "attention", labels[j], detail))
+            events.append((s, "restrain", labels[j],
+                           (("elements", ",".join(map(str, sorted(restraints[j])))),)))
+            for S, c in pairs:
+                for x in sorted(S):
+                    commitments[x] = c
+                    events.append((s, "commit", labels[j],
+                                   (("x", str(x)), ("limit", str(c)), ("start", str(s)))))
+            for jj in range(j + 1, n):
+                if status[jj] != "none":
+                    events.append((s, "injury", labels[jj], (("by", labels[j]),)))
+                status[jj] = "none"
+                restraints[jj] = set()
+            break
+    final = {"satisfied": dict(zip(labels, status)), "commitments": commitments}
+    return rows, events, final
+
+
+def commitments_by_stages(trace, f, through_next: bool = False):
+    """_check_commitments as it was before it tested masks, kept as its
+    oracle: one pair colour per stage, from the stage after a commit up to
+    the next commit of the same vertex, which it left out unless
+    through_next.  Returns the first failure's (stage, message), or None."""
+    base = getattr(f, "base", f)
+    commits = {}
+    for ev in trace.events:
+        if ev.kind == "commit":
+            commits.setdefault(int(ev.get("x")), []).append(
+                (int(ev.get("start")), int(ev.get("limit"))))
+        elif ev.kind == "color":
+            x, y, c = int(ev.get("x")), int(ev.get("y")), int(ev.get("c"))
+            if base(x, y) != c:
+                return ev.stage, f"color event ({x},{y})={c} contradicts coloring"
+    for x, seq in commits.items():
+        seq.sort()
+        for idx, (start, c) in enumerate(seq):
+            end = seq[idx + 1][0] + through_next if idx + 1 < len(seq) else base.window
+            for s in range(max(start + 1, x + 1), end):
+                if base(x, s) != c:
+                    return s, f"vertex {x} committed to {c} but colored {base(x, s)}"
+    return None
+
+
+def replaced_pairs(trace) -> list[tuple[int, int, int]]:
+    """(x, t, c) for each commit of x at stage t that replaces an earlier
+    commit of x to c."""
+    limits, out = {}, []
+    for ev in trace.events:
+        if ev.kind == "commit":
+            x = int(ev.get("x"))
+            if x in limits:
+                out.append((x, ev.stage, limits[x]))
+            limits[x] = int(ev.get("limit"))
+    return out
+
+
+def tiny_biarrays(rng: random.Random, stages: int) -> list[BiArrayFunctional]:
+    """One to three bi-array functionals on a few keys, which repeat, with
+    entry stages in no order and sets, some empty, from a small shared pool."""
+    def elems(lo):
+        return frozenset(rng.sample(range(lo, stages + 1), rng.choice((0, 1, 1, 2, 2, 3))))
+
+    return [BiArrayFunctional(
+        tuple((n, rng.randrange(stages), elems(n + 1))
+              for n in (rng.randrange(2) for _ in range(rng.randint(1, 3)))),
+        tuple((n, m, rng.randrange(stages), elems(m + 1))
+              for n, m in ((rng.randrange(2), rng.randrange(3))
+                           for _ in range(rng.randint(1, 4)))))
+        for _ in range(rng.randint(1, 3))]
+
+
+def random_cover(rng: random.Random, depth: int = 0) -> list[str]:
+    """The leaves of a random binary tree of depth <= 5: prefixes whose
+    cylinders cover every oracle once."""
+    if depth == 5 or rng.random() < 0.35:
+        return [""]
+    return [b + t for b in "01" for t in random_cover(rng, depth + 1)]
+
+
+def tiny_measure_oracle(rng: random.Random, stages: int):
+    """One to three prefix functionals with patterns of size 2 to 4, each
+    with one entry per prefix of two random covers.  Stages and elements are
+    drawn in no order, half of them below 5, where prefix lengths matter,
+    so some elements lie before their entry's stage."""
+    def small():
+        return rng.randrange(stages) if rng.random() < 0.5 else rng.randrange(5)
+
+    fns = [PrefixFunctional(tuple(
+        (tau, small(), frozenset(small() for _ in range(rng.randint(1, 2))))
+        for tau in random_cover(rng) + random_cover(rng)))
+        for _ in range(rng.randint(1, 3))]
+    return fns, [random_pattern(rng, 2, 4) for _ in fns]
+
+
+def tiny_dnc_oracle(rng: random.Random, stages: int) -> ApproxOracle:
+    """Entries for indices 0 and 1, with stages in no order, each enumerating
+    up to twelve elements, some at or past the stage and clipped."""
+    return ApproxOracle(tuple(
+        (rng.randrange(2), rng.randrange(stages),
+         frozenset(rng.sample(range(stages), rng.randint(0, 12))))
+        for _ in range(rng.randint(1, 5))))
 
 
 def flickering_dnc_oracle(seed: int) -> ApproxOracle:
@@ -492,6 +679,21 @@ class TestDncBuilder:
         x = int(ev.get("block").split(",")[0])
         assert not acts_realize_their_patterns(flip_pair(f, x, ev.stage), trace)
 
+    def test_small_scope_sweep(self):
+        # every verify_trace check and the purpose check on 2,000 tiny oracles
+        rng = random.Random(0)
+        acts = pairs = 0
+        for _ in range(2000):
+            stages = rng.randint(12, 16)
+            f, trace = build_dnc_coloring(tiny_dnc_oracle(rng, stages), stages)
+            assert verify_trace(trace, f).passed
+            assert acts_realize_their_patterns(f, trace)
+            for ev in trace.events:
+                if ev.kind == "act":
+                    acts += 1
+                    pairs += "," in ev.get("block")
+        assert acts > 2000 and pairs > 100
+
     @pytest.mark.parametrize("seed", range(6))
     def test_flickering_acts_realize_their_patterns(self, seed):
         f, trace = build_dnc_coloring(flickering_dnc_oracle(seed), 150)
@@ -700,6 +902,35 @@ class TestMeasureBuilder:
         with pytest.raises(PatternError):
             build_measure_coloring([PrefixFunctional(())], [], 10)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_asking_every_stage(self, seed):
+        rng = random.Random(seed)
+        attended = 0
+        for _ in range(150):
+            stages = rng.randint(6, 24)
+            fns, ps = tiny_measure_oracle(rng, stages)
+            f, trace = build_measure_coloring(fns, ps, stages)
+            rows, events, final = measure_rebuilt(fns, ps, stages)
+            assert list(f.rows) == rows
+            assert list(trace.events) == events
+            assert trace.final == final
+            attended += bool(events)
+        assert attended > 50
+
+    def test_small_scope_sweep(self):
+        # every verify_trace check on 2,000 tiny oracles
+        rng = random.Random(0)
+        kinds = {"attention": 0, "injury": 0, "commit": 0}
+        recommits = 0
+        for _ in range(2000):
+            stages = rng.randint(6, 20)
+            f, trace = build_measure_coloring(*tiny_measure_oracle(rng, stages), stages)
+            assert verify_trace(trace, f).passed
+            for ev in trace.events:
+                kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
+            recommits += len(replaced_pairs(trace))
+        assert min(kinds.values()) > 500 and recommits > 500
+
     def test_fixture_digest_300_stages(self, fixtures):
         fns, ps = parse_measure_oracle((fixtures / "measure_oracle.txt").read_text())
         assert builder_digest(*build_measure_coloring(fns, ps, 300)) == (
@@ -762,6 +993,25 @@ class TestStable2dimBuilder:
         assert statuses == {"none", "partial", "full"}
         assert not verify_trace(trace, sc, checks=("restraints",)).passed
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_asking_every_stage(self, seed):
+        rng = random.Random(seed)
+        oracles = [(overlapping_biarrays(seed + 1), 80)]
+        for _ in range(150):
+            stages = rng.randint(5, 24)
+            oracles.append((tiny_biarrays(rng, stages), stages))
+        seconds = 0
+        for bs, stages in oracles:
+            sc, trace = build_stable_2dim_coloring(bs, stages)
+            rows, events, final = stable2dim_rebuilt(bs, stages)
+            assert list(sc.base.rows) == rows
+            assert list(trace.events) == events
+            assert trace.final == final
+            assert sc.limit == tuple(final["commitments"].get(x, 0) for x in range(stages))
+            seconds += sum(ev.get("kind") == "second" for ev in trace.events
+                           if ev.kind == "attention")
+        assert seconds > 10
+
     def test_validation_of_biarray_entries(self):
         with pytest.raises(PatternError):
             BiArrayFunctional(primary=((3, 0, frozenset({2})),))
@@ -795,6 +1045,25 @@ class TestVerifyTrace:
         rep = verify_trace(trace, constant_coloring(10), checks=("commitments",))
         assert not rep.passed
 
+    @pytest.mark.parametrize("event", [
+        TraceEvent(4, "color", "R[0,0]", (("x", "-1"), ("y", "4"), ("c", "0"))),
+        TraceEvent(4, "color", "R[0,0]", (("x", "4"), ("y", "4"), ("c", "0"))),
+        TraceEvent(4, "color", "R[0,0]", (("x", "1"), ("y", "10"), ("c", "0"))),
+        TraceEvent(2, "commit", "R[0]", (("x", "-1"), ("limit", "0"), ("start", "2"))),
+    ])
+    def test_pairs_outside_the_window_raise(self, event):
+        # as reading the pair does, rather than reading a row from the end
+        trace = ConstructionTrace("dnc", 10, (event,))
+        with pytest.raises(PatternError):
+            verify_trace(trace, constant_coloring(10), checks=("commitments",))
+
+    def test_commit_interval_past_the_window_raises(self):
+        events = tuple(TraceEvent(s, "commit", "R[0]", (("x", "2"), ("limit", "0"),
+                                                         ("start", str(s)))) for s in (3, 12))
+        trace = ConstructionTrace("measure", 10, events)
+        with pytest.raises(PatternError):
+            verify_trace(trace, constant_coloring(10), checks=("commitments",))
+
     def test_broken_commitment_detected(self):
         events = (TraceEvent(2, "commit", "R[0]",
                              (("x", "0"), ("limit", "1"), ("start", "2"))),)
@@ -803,6 +1072,44 @@ class TestVerifyTrace:
                                                              "patterns": []})
         rep = verify_trace(trace, constant_coloring(10), checks=("commitments",))
         assert not rep.passed
+
+    def test_commitments_match_stage_by_stage_check(self):
+        # one random pair flipped in each tiny build: the same verdict, stage
+        # and note as the per-stage loop that reads the replacing stage too
+        rng = random.Random(0)
+        failed = 0
+        for k in range(300):
+            stages = rng.randint(6, 20)
+            if k % 2:
+                f, trace = build_measure_coloring(*tiny_measure_oracle(rng, stages), stages)
+            else:
+                f, trace = build_stable_2dim_coloring(tiny_biarrays(rng, stages), stages)
+                f = f.base
+            g = flip_pair(f, *rng.sample(range(stages), 2))
+            for h in (f, g):
+                res = verify_trace(trace, h, checks=("commitments",)).results[0]
+                want = commitments_by_stages(trace, h, through_next=True)
+                assert res == constructions.CheckResult(
+                    "commitments", want is None, *(want or (None, "")))
+                failed += not res.passed
+        assert failed > 30
+
+    def test_commitments_read_the_replacing_stage(self, fixtures):
+        # a builder colours a stage before it acts, so a vertex recommitted
+        # at stage t still carries its old colour at (x, t); a lazy row flush
+        # that stopped one stage short would leave those pairs 0
+        bs = parse_biarray_oracle((fixtures / "biarray_oracle.txt").read_text())
+        sc, trace = build_stable_2dim_coloring(bs, 300)
+        replaced = replaced_pairs(trace)
+        assert replaced == [(1, 11, 1), (2, 11, 1), (20, 32, 1), (21, 32, 1)]
+        short = sc.base
+        for x, t, _c in replaced:
+            short = flip_pair(short, x, t)
+        assert commitments_by_stages(trace, short) is None
+        assert verify_trace(trace, short, checks=("commitments",)).results == (
+            constructions.CheckResult("commitments", False, 11,
+                                      "vertex 1 committed to 1 but colored 0"),)
+        assert verify_trace(trace, sc, checks=("commitments",)).passed
 
     # a stable2dim requirement may act twice between injuries, a measure
     # requirement R[j] once per vertex of its pattern (3:010 here)
