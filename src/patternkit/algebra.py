@@ -132,12 +132,12 @@ class ClassificationFlags(NamedTuple):
         return self.merging0 and self.merging1
 
 
+def _flags(rows) -> ClassificationFlags:
+    """The four flags on row masks."""
+    return ClassificationFlags(_divergent(rows), _irreducible(rows),
+                               _i_merging(rows, 0), _i_merging(rows, 1))
+
+
 @lru_cache(maxsize=4096)
 def classify(p: Pattern) -> ClassificationFlags:
-    rows = p.rows
-    return ClassificationFlags(
-        divergent=_divergent(rows),
-        irreducible=_irreducible(rows),
-        merging0=_i_merging(rows, 0),
-        merging1=_i_merging(rows, 1),
-    )
+    return _flags(p.rows)

@@ -8,10 +8,15 @@ order-preserving sub-patterns of p:
                and one 1-merging;
 * omega_2dim:  a single sub-pattern is divergent, irreducible and merging.
 
-All three are read off p's least witness of each kind in (size, code) order.
-Every proper order-preserving sub-pattern of p lies in a one-vertex deletion
-of p, so each witness is the least of the deletions' witnesses, or p itself
-when p qualifies and no deletion has one; `census` shares one memo per walk.
+Each verdict asks whether p has a witness of some kind, and every proper
+order-preserving sub-pattern of p lies in a one-vertex deletion of p: so p
+has a witness of a kind exactly when it qualifies itself or one of its
+deletions has one.  `report` and the `preserves_*` predicates read off p's
+least witness of each kind in (size, code) order, found that way through a
+memo of the deletions.  `census` needs only whether each kind has a witness:
+it builds, size by size, a table of one byte per code whose four low bits
+are the kinds that pattern has a witness of, each size's table made from the
+one below it, and holds only the table of the size below its own.
 
 The sub-pattern enumeration supports two modes: monotone (order-preserving
 embeddings, i.e. induced restrictions) and injective (arbitrary injections,
@@ -25,13 +30,20 @@ takes a mode; the verdicts, reports and census take none.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
+from . import _kernels
 from .core import Pattern, PatternError, _coded, _gather, _Record, format_pattern, vertex_maps
-from .algebra import ClassificationFlags, classify
+from .algebra import ClassificationFlags, _flags, classify
 
-MAX_PAIR_BITS = 28  # enumeration guard: C(l,2) <= 28, i.e. l <= 8
+# The enumeration guard: C(l,2) <= 28, i.e. l <= 8.  A census of size l holds
+# the kind table of size l-1 (2 MB at l = 8) and streams 2^C(l,2) rows.  Cold
+# on a 2-core host with Python 3.11, `census 7 --format records` took 17-24 s
+# at 17 MB; `census 8` gave its first 2^21 records in 11.6 s at 18 MB and was
+# not run to the end of its 2^28.
+MAX_PAIR_BITS = 28
 
 
 def _check_guard(size: int) -> None:
@@ -62,8 +74,7 @@ def _least_witnesses(p: Pattern, memo: dict[Pattern, dict[str, Pattern]]) -> dic
     for each witness kind it has: divergent and irreducible ("omega_hyp"),
     and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
     "one_2dim_1merging", "omega_2dim").  memo holds the witnesses of the
-    deletions decided so far, at every depth; p's own are not added, so a
-    census's memo holds only patterns smaller than its size."""
+    deletions decided so far, at every depth; p's own are not added."""
     found: dict[str, Pattern] = {}
     if p.size > 1:
         rows = p.rows
@@ -130,6 +141,82 @@ def report(p: Pattern) -> ClassificationReport:
     )
 
 
+# A pattern's kinds: bit 0 when it has an omega_hyp witness, bit 1 a 0-merging
+# one, bit 2 a 1-merging one, bit 3 an omega_2dim one.  An omega_2dim witness
+# is a witness of every kind, so bit 3 is set only in ALL_KINDS.
+ALL_KINDS = 15
+_VERDICTS = [(kinds & 1 == 1, kinds & 6 == 6, kinds & 8 == 8) for kinds in range(16)]
+
+
+def _own_kinds(fl: ClassificationFlags) -> int:
+    """The kinds a pattern with these flags is itself a witness of."""
+    divergent, irreducible, merging0, merging1 = fl
+    if not (divergent and irreducible):
+        return 0
+    return 1 | merging0 << 1 | merging1 << 2 | (merging0 and merging1) << 3
+
+
+def _deletion_tables(size: int) -> list[tuple[list[int], ...]]:
+    """For each vertex v from 1 on: four tables, one per byte of a code of
+    this size, least significant first, whose entries OR to the code of the
+    pattern minus v.  Deleting v keeps every other pair in order, so each
+    code bit moves to a fixed place or drops out."""
+    pairs = list(itertools.combinations(range(size), 2))[::-1]  # code bit j is pairs[j]
+    out = []
+    for v in range(1, size):
+        kept = [pair for pair in pairs if v not in pair]
+        place = [0 if v in pair else 1 << kept.index(pair) for pair in pairs]
+        place += [0] * (32 - len(place))
+        tables = []
+        for j in range(0, 32, 8):
+            table = [0]
+            for bit in place[j:j + 8]:
+                table += [t | bit for t in table]
+            tables.append(table)
+        out.append(tuple(tables))
+    return out
+
+
+def _inherited(code: int, kinds: int, below: bytearray, deletions) -> int:
+    """kinds, those of the pattern's deletion of vertex 0, ORed with the kinds
+    that `below` gives its other one-vertex deletions, read until all are in."""
+    b0, b1, b2, b3 = code.to_bytes(4, "little")
+    for t0, t1, t2, t3 in deletions:
+        kinds |= below[t0[b0] | t1[b1] | t2[b2] | t3[b3]]
+        if kinds == ALL_KINDS:
+            break
+    return kinds
+
+
+def _extend(size: int, below: bytearray) -> bytearray:
+    """The kinds of every pattern of this size, indexed by code, from those of
+    the size below.  A pattern minus vertex 0 is the low C(size-1, 2) bits of
+    its code, so tiling `below` gives each code that deletion's kinds; only
+    the codes it leaves short of ALL_KINDS read their other deletions and,
+    if still short, their own flags."""
+    table = below * (1 << size - 1)
+    deletions = _deletion_tables(size)
+    short = [rest for rest, kinds in enumerate(below) if kinds != ALL_KINDS]
+    for high in range(0, len(table), len(below)):
+        for rest in short:
+            code = high | rest
+            kinds = _inherited(code, below[rest], below, deletions)
+            if kinds != ALL_KINDS:
+                kinds |= _own_kinds(_flags(_kernels._rows_of(size, code)))
+            table[code] = kinds
+    return table
+
+
+def _kind_table(size: int) -> bytearray:
+    """The kinds of every pattern of this size, indexed by code; each size's
+    table is dropped once the next is made from it.  Size 0 stands for the
+    deletions of a size-1 pattern, of which there are none."""
+    table = bytearray(1)  # the size-1 pattern is a witness of nothing
+    for l in range(2, size + 1):
+        table = _extend(l, table)
+    return table
+
+
 class CensusRow(NamedTuple):
     pattern: Pattern
     flags: ClassificationFlags
@@ -140,15 +227,18 @@ class CensusRow(NamedTuple):
 
 def census(size: int, verdicts: bool = True) -> Iterator[CensusRow]:
     """Classify every pattern of the given size, yielding one row per pattern
-    in code order; the walk shares one least-witness memo."""
+    in code order.  The verdicts come from the kinds of each pattern's
+    deletions, read from the table of the size below, and its own flags."""
     _check_guard(size)
-    memo: dict[Pattern, dict[str, Pattern]] = {}
-    for code in range(1 << size * (size - 1) // 2):
-        p = _coded(size, code)
-        fl = classify(p)
-        if verdicts:
-            w = _least_witnesses(p, memo)
-            oh, o1, o2 = "omega_hyp" in w, _one_2dim(w), "omega_2dim" in w
-        else:
-            oh = o1 = o2 = False
-        yield CensusRow(p, fl, oh, o1, o2)
+    below = _kind_table(size - 1) if verdicts else bytearray(1)
+    low = (1 << (size - 1) * (size - 2) // 2) - 1  # the code of p minus vertex 0
+    deletions = _deletion_tables(size)
+    for code, rows in enumerate(_kernels._rows_by_code(size)):
+        fl = _flags(rows)
+        if not verdicts:
+            yield CensusRow(_coded(size, code), fl, False, False, False)
+            continue
+        kinds = below[code & low]
+        if kinds != ALL_KINDS:
+            kinds = _inherited(code, kinds, below, deletions) | _own_kinds(fl)
+        yield CensusRow(_coded(size, code), fl, *_VERDICTS[kinds])

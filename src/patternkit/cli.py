@@ -33,6 +33,28 @@ def _yn(b: bool) -> str:
     return "yes" if b else "no"
 
 
+CENSUS_CHUNK = 4096  # census records per write
+
+
+def _write_out(text: str) -> None:
+    """Write text to stdout in full, or raise BrokenPipeError.
+
+    Under PYTHONUNBUFFERED, sys.stdout writes through to a raw FileIO.  When
+    the reader leaves during a large write, the write takes only part of the
+    bytes, and TextIOWrapper drops the rest without an error.  So the bytes go
+    to the byte layer here until it has taken them all; a stream with no byte
+    layer, such as io.StringIO, takes all of text at once."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -98,16 +120,23 @@ def cmd_census(args) -> int:
     verdicts = not args.no_verdicts
     rows = census(args.size, verdicts=verdicts)
     if args.format == "records":
+        # a record is its pattern, then the text of the row's flags and
+        # verdicts: one of 128, each laid out as emit_record lays out
+        # _flags_record and cmd_classify's verdicts
+        import itertools
+
+        names = ("divergent", "irreducible", "merging0", "merging1",
+                 "omega_hyp", "one_2dim", "omega_2dim")[:7 if verdicts else 4]
+        fields = {(values[:4], *values[4:]):
+                  "".join(f" {name}:{v}" for name, v in zip(names, values)) + "\n"
+                  for values in itertools.product((0, 1), repeat=7)}
+        chunk = []
         for row in rows:
-            rec = {"pattern": format_pattern(row.pattern)}
-            rec.update(_flags_record(row.flags))
-            if verdicts:
-                rec.update({
-                    "omega_hyp": int(row.omega_hyp),
-                    "one_2dim": int(row.one_2dim),
-                    "omega_2dim": int(row.omega_2dim),
-                })
-            print(pio.emit_record(rec))
+            chunk.append(f"pattern:{format_pattern(row[0])}{fields[row[1:]]}")
+            if len(chunk) == CENSUS_CHUNK:
+                _write_out("".join(chunk))
+                chunk.clear()
+        _write_out("".join(chunk))
         return 0
     # one pass: each row adds to the counts and, if divergent and irreducible, the list
     names = ("divergent", "irreducible", "divergent+irreducible", "merging",
@@ -120,14 +149,13 @@ def cmd_census(args) -> int:
         total, counts = total + 1, [c + h for c, h in zip(counts, hits)]
         if hits[2]:
             div_irr.append(format_pattern(row.pattern))
-    print(f"census size={args.size} total={total}")
-    for name, n in zip(names[:4], counts):
-        print(f"  {name + ':':<25}{n}")
+    out = [f"census size={args.size} total={total}"]
+    out += [f"  {name + ':':<25}{n}" for name, n in zip(names[:4], counts)]
     if verdicts:
-        for name, n in zip(names[4:], counts[4:]):
-            print(f"  {name}: {n}")
+        out += [f"  {name}: {n}" for name, n in zip(names[4:], counts[4:])]
     if div_irr:
-        print("  divergent+irreducible patterns: " + " ".join(div_irr))
+        out.append("  divergent+irreducible patterns: " + " ".join(div_irr))
+    _write_out("\n".join(out) + "\n")
     return 0
 
 
@@ -230,11 +258,11 @@ def cmd_simulate(args) -> int:
         if res.message:
             rec["note"] = res.message.replace(" ", "_")
         checks.append(pio.emit_record(rec) + "\n")
-    sys.stdout.write("".join(checks))
+    _write_out("".join(checks))
     if not args.coloring_out:
-        sys.stdout.write(coloring_text)
+        _write_out(coloring_text)
     if not args.trace_out:
-        sys.stdout.write(trace_text)  # one write for thousands of lines
+        _write_out(trace_text)  # one write for thousands of lines
     return 0 if rep.passed else 1
 
 
@@ -298,7 +326,7 @@ def cmd_tree2col(args) -> int:
 
     tree = pio.parse_tree(_read(args.tree))
     f = tree_to_coloring(tree, args.window)
-    sys.stdout.write(pio.format_coloring(f))
+    _write_out(pio.format_coloring(f))
     return 0
 
 

@@ -88,9 +88,9 @@ class Pattern(_Record):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "code", sum(b << k for k, b in enumerate(reversed(bits))))
 
-    # compared field by field, without building (size, code) tuples:
-    # `census 6` makes 669,000 comparisons taking least witnesses; `<=`, `>`
-    # and `>=` derive from `<` and `==`, which are all that min and sorted call
+    # compared field by field, without building (size, code) tuples: `report`
+    # takes least witnesses with min; `<=`, `>` and `>=` derive from `<` and
+    # `==`, which are all that min and sorted call
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -180,7 +180,8 @@ def parse_pattern(text: str) -> Pattern:
 
 
 def format_pattern(p: Pattern) -> str:
-    return f"{p.size}:" + "".join(str(b) for b in p.bits)
+    k = p.size * (p.size - 1) // 2
+    return f"{p.size}:{p.code:0{k}b}" if k else "1:"
 
 
 def pattern_from_colors(size: int, colors) -> Pattern:
@@ -354,9 +355,14 @@ class Embedding(_Record):
 
 def _check_window_subset(f: FiniteColoring, vertices: Iterable[int]) -> list[int]:
     vs = sorted(set(vertices))
+    _check_in_window(f, vs)
+    return vs
+
+
+def _check_in_window(f: FiniteColoring, vs: list[int]) -> None:
+    """vs, increasing and without repeats, lies in f's window."""
     if vs and (vs[0] < 0 or vs[-1] >= f.window):
         raise PatternError(f"vertices {vs} outside window [0,{f.window})")
-    return vs
 
 
 def realizes(f: FiniteColoring, F: Iterable[int], p: Pattern) -> bool:

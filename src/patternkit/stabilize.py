@@ -17,6 +17,7 @@ from .core import (
     PartialColoring,
     Pattern,
     PatternError,
+    _check_in_window,
     _check_window_subset,
     _Record,
     avoids,
@@ -52,8 +53,11 @@ def fg_avoids(f: FiniteColoring, g: PartialColoring, X: Iterable[int],
     xs = sorted(set(X))
     if not g.defined_on(xs):
         raise PatternError("witness must be defined on all of X")
-    return avoids(f, xs, p) and _kernels.lex_least_realizer(
-        f.rows, xs, p.rows, sum(g.assignments[x] << x for x in xs)) is None
+    _check_in_window(f, xs)
+    rows, prows = f.rows, p.rows
+    return (_kernels.lex_least_realizer(rows, xs, prows) is None
+            and _kernels.lex_least_realizer(
+                rows, xs, prows, sum(g.assignments[x] << x for x in xs)) is None)
 
 
 def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],

@@ -1,14 +1,16 @@
 import hashlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from patternkit import classifier, oracle
 from patternkit.cli import main
-from patternkit.core import PatternError, dual, is_subpattern, parse_pattern
+from patternkit.core import PatternError, _coded, dual, is_subpattern, parse_pattern, restrict
 from patternkit.algebra import classify, join
 from patternkit.classifier import (
+    CensusRow,
     census,
     enumerate_patterns,
     preserves_omega_2dim,
@@ -221,3 +223,77 @@ class TestWitnessScanDifferential:
         rng = random.Random(size)
         for _ in range(100):
             assert_matches_oracle(random_pattern(rng, size, size))
+
+
+# ---------------------------------------------------------------------------
+# the census's kind tables against the least-witness recursion, which decided
+# the census verdicts before them and still serves `report`
+
+KIND_BITS = {"omega_hyp": 1, "one_2dim_0merging": 2, "one_2dim_1merging": 4, "omega_2dim": 8}
+
+
+def witness_kinds(witnesses) -> int:
+    return sum(KIND_BITS[key] for key in witnesses)
+
+
+def least_witness_census(size):
+    """The census rows of one least-witness walk with a shared memo, and the
+    kinds of every pattern of the size; the memo ends up holding the
+    witnesses of every smaller pattern."""
+    memo, rows, kinds = {}, [], []
+    for p in enumerate_patterns(size):
+        w = classifier._least_witnesses(p, memo)
+        rows.append(CensusRow(p, classify(p), "omega_hyp" in w,
+                              "one_2dim_0merging" in w and "one_2dim_1merging" in w,
+                              "omega_2dim" in w))
+        kinds.append(witness_kinds(w))
+    return rows, kinds, memo
+
+
+class TestKindTables:
+    def test_census6_matches_least_witness_walk(self, time_limit):
+        rows, kinds, memo = least_witness_census(6)
+        assert list(census(6)) == rows
+        assert list(classifier._kind_table(6)) == kinds
+        for size in range(1, 6):
+            assert list(classifier._kind_table(size)) == [
+                witness_kinds(memo[p]) for p in enumerate_patterns(size)]
+
+    def test_size7_counts(self, time_limit):
+        t0 = time.perf_counter()
+        table = classifier._kind_table(7)
+        elapsed = time.perf_counter() - t0
+        counts = Counter(table)
+        assert len(table) == 2 ** 21
+        # the verdict counts, and the patterns with no witness of each kind
+        # (no omega_hyp witness leaves no witness of any kind)
+        assert sum(n for kinds, n in counts.items() if kinds & 1) == 2_095_346
+        assert sum(n for kinds, n in counts.items() if kinds & 6 == 6) == 2_088_394
+        assert counts[classifier.ALL_KINDS] == 2_087_026
+        assert counts[0] == 1_806
+        assert sum(n for kinds, n in counts.items() if not kinds & 2) == 5_282
+        assert sum(n for kinds, n in counts.items() if not kinds & 4) == 5_282
+        assert elapsed < 3
+
+    def test_size8_sample_matches_least_witnesses(self, time_limit):
+        # census 8's verdicts, one row at a time as census makes them, for
+        # 1,000 seeded codes
+        below = classifier._kind_table(7)
+        deletions = classifier._deletion_tables(8)
+        rng, memo = random.Random(8), {}
+        for _ in range(1000):
+            p = _coded(8, rng.getrandbits(28))
+            kinds = classifier._inherited(p.code, below[p.code & (1 << 21) - 1], below,
+                                          deletions) | classifier._own_kinds(classify(p))
+            assert kinds == witness_kinds(classifier._least_witnesses(p, memo)), p
+
+    def test_deletion_tables_give_restrictions(self):
+        for size in range(2, 9):
+            deletions = classifier._deletion_tables(size)
+            rng = random.Random(size)
+            for _ in range(50):
+                p = _coded(size, rng.getrandbits(size * (size - 1) // 2))
+                b = p.code.to_bytes(4, "little")
+                for v, tables in enumerate(deletions, 1):
+                    got = tables[0][b[0]] | tables[1][b[1]] | tables[2][b[2]] | tables[3][b[3]]
+                    assert got == restrict(p, [x for x in range(size) if x != v]).code

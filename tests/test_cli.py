@@ -679,3 +679,33 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait() == 1
         assert err == b""
+
+
+class TestReaderLeavingMidWrite:
+    # Under PYTHONUNBUFFERED, stdout writes through to a raw FileIO, and a
+    # reader that left during a large write used to cost the rest of that
+    # write silently: simulate dnc on the fixture oracle at 300 stages (244,756
+    # bytes) exited 0 when the reader kept 100 or 120,000 bytes, and tree2col
+    # of a 700-vertex window (245,353 bytes) when it kept 120,000
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("keep", [100, 120_000])
+    @pytest.mark.parametrize("command", ["simulate", "census", "tree2col"])
+    def test_exits_1_quietly(self, fixtures, tmp_path, command, keep, unbuffered):
+        path = tmp_path / "path_tree.txt"
+        path.write_text("\n" + "\n".join("0" * d for d in range(1, 700)) + "\n")
+        argv = {"simulate": ["simulate", "dnc", str(fixtures / "dnc_oracle.txt"),
+                             "--stages", "300"],
+                "census": ["census", "6", "--format", "records"],
+                "tree2col": ["tree2col", str(path), "--window", "700"]}[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(patternkit.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "patternkit.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""

@@ -985,7 +985,7 @@ class TestStable2dimBuilder:
     def test_overlapping_sets_digest_80_stages(self):
         # pins the current injury order: the acting requirement's restrain
         # event precedes the injuries it causes, so the restraints check
-        # fails on this oracle (ROADMAP item 2 will change the digest)
+        # fails on this oracle (ROADMAP item 1 will change the digest)
         sc, trace = build_stable_2dim_coloring(overlapping_biarrays(0), 80)
         assert builder_digest(sc, trace) == (
             75, "641d6cf0d74584cb58f2e92d63a437feefec6a46b3ed9d79c8168ca01dc1cc51")

@@ -91,6 +91,16 @@ class TestWitnessedAvoidance:
             fg_avoids(constant_coloring(3), PartialColoring({}), [],
                       parse_pattern("1:"))
 
+    def test_error_order(self):
+        # the pattern's size, then the witness's domain, then the window
+        f, p = constant_coloring(3), parse_pattern("3:010")
+        with pytest.raises(PatternError, match="size >= 2"):
+            fg_avoids(f, PartialColoring({}), [7], parse_pattern("1:"))
+        with pytest.raises(PatternError, match="witness must be defined on all of X"):
+            fg_avoids(f, PartialColoring({0: 0}), [0, 7], p)
+        with pytest.raises(PatternError, match=r"vertices \[0, 7\] outside window \[0,3\)"):
+            fg_avoids(f, PartialColoring({0: 0, 7: 1}), [7, 0, 7], p)
+
     def test_stabilized_equivalence_random(self):
         # with a stabilizing tail the witnessed form equals one-step extension
         rng = random.Random(0)
