@@ -37,6 +37,16 @@ _BYTE_MAX_SIZE = 8
 _SLICED_MAX_SIZE = 32
 
 
+def _or_tables(values: list[int], width: int) -> tuple[list[int], ...]:
+    """For each run of `width` input bits, least significant first: the table
+    whose entry at each value of the run ORs values[j] for its set bits j."""
+    tables = [[0] for _ in range(0, len(values), width)]
+    for j, bit in enumerate(values):
+        table = tables[j // width]
+        table += [t | bit for t in table]
+    return tuple(tables)
+
+
 @lru_cache(maxsize=None)
 def _slice_tables(size: int) -> tuple[list[int], ...]:
     """For each 4-bit slice of a code of this size, least significant first:
@@ -48,13 +58,7 @@ def _slice_tables(size: int) -> tuple[list[int], ...]:
     for x, y in itertools.combinations(range(size), 2):
         k -= 1
         pair[k] = 1 << x * stride + y | 1 << y * stride + x
-    tables = []
-    for j in range(0, len(pair), 4):
-        table = [0]
-        for bit in pair[j:j + 4]:
-            table += [rows | bit for rows in table]
-        tables.append(table)
-    return tuple(tables)
+    return _or_tables(pair, 4)
 
 
 def _rows_of(size: int, code: int) -> tuple[int, ...]:

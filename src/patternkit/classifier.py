@@ -11,12 +11,14 @@ order-preserving sub-patterns of p:
 Each verdict asks whether p has a witness of some kind, and every proper
 order-preserving sub-pattern of p lies in a one-vertex deletion of p: so p
 has a witness of a kind exactly when it qualifies itself or one of its
-deletions has one.  `report` and the `preserves_*` predicates read off p's
-least witness of each kind in (size, code) order, found that way through a
-memo of the deletions.  `census` needs only whether each kind has a witness:
-it builds, size by size, a table of one byte per code whose four low bits
-are the kinds that pattern has a witness of, each size's table made from the
-one below it, and holds only the table of the size below its own.
+deletions has one.  Both walks below run on (size, code) ints and kind
+bits, and share the deletion tables, the own-kind rule and the verdicts of
+each kind set.  `report` and the `preserves_*` predicates read off p's least
+witness of each kind in (size, code) order.  `census` needs only whether
+each kind has a witness: it builds, size by size, a table of one byte per
+code whose four low bits are the kinds that pattern has a witness of, each
+size's table made from the one below it, and holds only the table of the
+size below its own.
 
 The sub-pattern enumeration supports two modes: monotone (order-preserving
 embeddings, i.e. induced restrictions) and injective (arbitrary injections,
@@ -69,47 +71,83 @@ def subpatterns(p: Pattern, mode: str = "injective") -> frozenset[Pattern]:
                      for k in range(1, p.size + 1) for g in vertex_maps(k, p.size, mode))
 
 
-def _least_witnesses(p: Pattern, memo: dict[Pattern, dict[str, Pattern]]) -> dict[str, Pattern]:
-    """The least order-preserving sub-pattern of p, in (size, code) order,
-    for each witness kind it has: divergent and irreducible ("omega_hyp"),
-    and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
-    "one_2dim_1merging", "omega_2dim").  memo holds the witnesses of the
-    deletions decided so far, at every depth; p's own are not added."""
-    found: dict[str, Pattern] = {}
-    if p.size > 1:
-        rows = p.rows
-        for v in range(p.size):
-            d = _coded(p.size - 1, _gather(rows, [x for x in range(p.size) if x != v]))
-            w = memo.get(d)
-            if w is None:
-                w = memo[d] = _least_witnesses(d, memo)
-            for key, q in w.items():
-                found[key] = min(found.get(key, q), q)
-    fl = classify(p)
-    if fl.divergent and fl.irreducible:
-        for key, holds in (("omega_hyp", True),
-                           ("one_2dim_0merging", fl.merging0),
-                           ("one_2dim_1merging", fl.merging1),
-                           ("omega_2dim", fl.merging)):
-            if holds:
-                found.setdefault(key, p)
-    return found
+# A pattern's kinds: bit i when it has a witness of kind _KIND_NAMES[i], one
+# divergent and irreducible, and that plus 0-merging, 1-merging or both.  An
+# omega_2dim witness is a witness of every kind, so bit 3 is set only in ALL_KINDS.
+_KIND_NAMES = ("omega_hyp", "one_2dim_0merging", "one_2dim_1merging", "omega_2dim")
+ALL_KINDS = 15
+_VERDICTS = [(kinds & 1 == 1, kinds & 6 == 6, kinds & 8 == 8) for kinds in range(16)]
 
 
-def _one_2dim(w: dict[str, Pattern]) -> bool:
-    return "one_2dim_0merging" in w and "one_2dim_1merging" in w
+def _own_kinds(fl: ClassificationFlags) -> int:
+    """The kinds a pattern with these flags is itself a witness of."""
+    divergent, irreducible, merging0, merging1 = fl
+    if not (divergent and irreducible):
+        return 0
+    return 1 | merging0 << 1 | merging1 << 2 | (merging0 and merging1) << 3
+
+
+@lru_cache(maxsize=None)
+def _deletion_tables(size: int) -> tuple[tuple[list[int], ...], ...]:
+    """For each vertex v: at least four tables, one per byte of a code of
+    this size, least significant first, whose entries OR to the code of the
+    pattern minus v.  Deleting v keeps every other pair in order, so each
+    code bit moves to a fixed place or drops out."""
+    pairs = list(itertools.combinations(range(size), 2))[::-1]  # code bit j is pairs[j]
+    out = []
+    for v in range(size):
+        kept = {pair: 1 << j for j, pair in enumerate(q for q in pairs if v not in q)}
+        place = [kept.get(pair, 0) for pair in pairs]
+        out.append(_kernels._or_tables(place + [0] * (32 - len(place)), 8))
+    return tuple(out)
+
+
+def _least_witnesses(size: int, code: int) -> dict[int, tuple[int, int]]:
+    """Kind bit i -> (size, code) of the least witness of kind _KIND_NAMES[i]
+    among the order-preserving sub-patterns of (size, code), for each kind
+    it has one of.  That is the least of its one-vertex deletions' or, when
+    they have none, the pattern itself if it qualifies.  Each sub-pattern is
+    walked once, as the int l << top | c, whose order is (size, code) order;
+    `absent` exceeds all of them."""
+    top = size * (size - 1) // 2
+    absent = size + 1 << top
+    memo: dict[int, list[int]] = {}
+
+    def walk(l: int, c: int) -> list[int]:
+        key = l << top | c
+        least = memo.get(key)
+        if least is None:
+            least = [absent] * 4  # a pattern below size 4 has no witness below it
+            if l > 3:
+                tables = _deletion_tables(l)
+                b = c.to_bytes(len(tables[0]), "little")
+                below = [sum(map(list.__getitem__, t, b)) for t in tables]
+                least = list(map(min, *[memo.get(l - 1 << top | d) or walk(l - 1, d)
+                                        for d in below]))
+            if l > 2 and absent in least:
+                own = _own_kinds(_flags(_kernels._rows_of(l, c)))
+                least = [key if w == absent and own >> i & 1 else w
+                         for i, w in enumerate(least)]
+            memo[key] = least
+        return least
+
+    return {i: divmod(w, 1 << top) for i, w in enumerate(walk(size, code)) if w != absent}
+
+
+def _verdicts(p: Pattern) -> tuple[bool, bool, bool]:
+    return _VERDICTS[sum(1 << i for i in _least_witnesses(p.size, p.code))]
 
 
 def preserves_omega_hyp(p: Pattern) -> bool:
-    return "omega_hyp" in _least_witnesses(p, {})
+    return _verdicts(p)[0]
 
 
 def preserves_one_2dim(p: Pattern) -> bool:
-    return _one_2dim(_least_witnesses(p, {}))
+    return _verdicts(p)[1]
 
 
 def preserves_omega_2dim(p: Pattern) -> bool:
-    return "omega_2dim" in _least_witnesses(p, {})
+    return _verdicts(p)[2]
 
 
 class ClassificationReport(_Record):
@@ -127,54 +165,12 @@ class ClassificationReport(_Record):
 
 def report(p: Pattern) -> ClassificationReport:
     """Full report with least witnesses in (size, bitstring) order; the two
-    one_2dim witnesses are listed only when both exist."""
-    w = _least_witnesses(p, {})
-    one_2dim = _one_2dim(w)
-    return ClassificationReport(
-        pattern=p,
-        flags=classify(p),
-        verdict_omega_hyp="omega_hyp" in w,
-        verdict_one_2dim=one_2dim,
-        verdict_omega_2dim="omega_2dim" in w,
-        witnesses={k: format_pattern(q) for k, q in w.items()
-                   if one_2dim or not k.startswith("one_2dim")},
-    )
-
-
-# A pattern's kinds: bit 0 when it has an omega_hyp witness, bit 1 a 0-merging
-# one, bit 2 a 1-merging one, bit 3 an omega_2dim one.  An omega_2dim witness
-# is a witness of every kind, so bit 3 is set only in ALL_KINDS.
-ALL_KINDS = 15
-_VERDICTS = [(kinds & 1 == 1, kinds & 6 == 6, kinds & 8 == 8) for kinds in range(16)]
-
-
-def _own_kinds(fl: ClassificationFlags) -> int:
-    """The kinds a pattern with these flags is itself a witness of."""
-    divergent, irreducible, merging0, merging1 = fl
-    if not (divergent and irreducible):
-        return 0
-    return 1 | merging0 << 1 | merging1 << 2 | (merging0 and merging1) << 3
-
-
-def _deletion_tables(size: int) -> list[tuple[list[int], ...]]:
-    """For each vertex v from 1 on: four tables, one per byte of a code of
-    this size, least significant first, whose entries OR to the code of the
-    pattern minus v.  Deleting v keeps every other pair in order, so each
-    code bit moves to a fixed place or drops out."""
-    pairs = list(itertools.combinations(range(size), 2))[::-1]  # code bit j is pairs[j]
-    out = []
-    for v in range(1, size):
-        kept = [pair for pair in pairs if v not in pair]
-        place = [0 if v in pair else 1 << kept.index(pair) for pair in pairs]
-        place += [0] * (32 - len(place))
-        tables = []
-        for j in range(0, 32, 8):
-            table = [0]
-            for bit in place[j:j + 8]:
-                table += [t | bit for t in table]
-            tables.append(table)
-        out.append(tuple(tables))
-    return out
+    one_2dim witnesses (kind bits 1 and 2) are listed only when both exist."""
+    w = _least_witnesses(p.size, p.code)
+    verdicts = _VERDICTS[sum(1 << i for i in w)]
+    return ClassificationReport(p, classify(p), *verdicts, {
+        _KIND_NAMES[i]: format_pattern(_coded(*q)) for i, q in w.items()
+        if verdicts[1] or i in (0, 3)})
 
 
 def _inherited(code: int, kinds: int, below: bytearray, deletions) -> int:
@@ -195,7 +191,7 @@ def _extend(size: int, below: bytearray) -> bytearray:
     the codes it leaves short of ALL_KINDS read their other deletions and,
     if still short, their own flags."""
     table = below * (1 << size - 1)
-    deletions = _deletion_tables(size)
+    deletions = _deletion_tables(size)[1:]
     short = [rest for rest, kinds in enumerate(below) if kinds != ALL_KINDS]
     for high in range(0, len(table), len(below)):
         for rest in short:
@@ -225,19 +221,16 @@ class CensusRow(NamedTuple):
     omega_2dim: bool
 
 
-def census(size: int, verdicts: bool = True) -> Iterator[CensusRow]:
+def census(size: int) -> Iterator[CensusRow]:
     """Classify every pattern of the given size, yielding one row per pattern
     in code order.  The verdicts come from the kinds of each pattern's
     deletions, read from the table of the size below, and its own flags."""
     _check_guard(size)
-    below = _kind_table(size - 1) if verdicts else bytearray(1)
+    below = _kind_table(size - 1)
     low = (1 << (size - 1) * (size - 2) // 2) - 1  # the code of p minus vertex 0
-    deletions = _deletion_tables(size)
+    deletions = _deletion_tables(size)[1:]
     for code, rows in enumerate(_kernels._rows_by_code(size)):
         fl = _flags(rows)
-        if not verdicts:
-            yield CensusRow(_coded(size, code), fl, False, False, False)
-            continue
         kinds = below[code & low]
         if kinds != ALL_KINDS:
             kinds = _inherited(code, kinds, below, deletions) | _own_kinds(fl)

@@ -117,8 +117,9 @@ def cmd_classify(args) -> int:
 def cmd_census(args) -> int:
     from .classifier import census
 
+    # census always decides the verdicts; --no-verdicts only leaves them out
     verdicts = not args.no_verdicts
-    rows = census(args.size, verdicts=verdicts)
+    rows = census(args.size)
     if args.format == "records":
         # a record is its pattern, then the text of the row's flags and
         # verdicts: one of 128, each laid out as emit_record lays out

@@ -346,7 +346,12 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
     """Stage loop: restraints are released at every stage start; each
     requirement with priority ordinal below the stage picks an unrestrained
     oldest block realizing its truncation and colors the block toward the
-    stage top; unassigned pairs stay 0."""
+    stage top; unassigned pairs stay 0.
+
+    Requirement k always finds an unrestrained block when it has its
+    h_bound(k) + 1 pairwise disjoint ones: the requirements above it restrain
+    at most one block of |p_j| - 1 elements each, at most h_bound(k) elements
+    in all, and each element meets at most one of the disjoint blocks."""
     _check_stages(stages)
     rows = [0] * stages
     events: list[TraceEvent] = []
@@ -380,7 +385,7 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
                 continue
             pick = next((b for b in blocks if not restrained & set(b)), None)
             if pick is None:
-                continue
+                raise AssertionError(f"{req}: every block meets a restraint at stage {s}")
             restrained.update(pick)
             events.append(TraceEvent(s, "restrain", req,
                                      _detail(elements=",".join(map(str, pick)))))

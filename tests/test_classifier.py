@@ -7,7 +7,9 @@ import pytest
 
 from patternkit import classifier, oracle
 from patternkit.cli import main
-from patternkit.core import PatternError, _coded, dual, is_subpattern, parse_pattern, restrict
+from patternkit.core import (
+    PatternError, _coded, _gather, dual, is_subpattern, parse_pattern, restrict,
+)
 from patternkit.algebra import classify, join
 from patternkit.classifier import (
     CensusRow,
@@ -19,7 +21,7 @@ from patternkit.classifier import (
     report,
     subpatterns,
 )
-from conftest import random_pattern
+from conftest import biased_pattern, random_pattern
 
 HEM = join(parse_pattern("3:010"), parse_pattern("3:101"))
 
@@ -226,10 +228,37 @@ class TestWitnessScanDifferential:
 
 
 # ---------------------------------------------------------------------------
-# the census's kind tables against the least-witness recursion, which decided
-# the census verdicts before them and still serves `report`
+# the package's witness-kind walk and the census's kind tables against the
+# least-witness recursion on Pattern objects that decided both before them
 
 KIND_BITS = {"omega_hyp": 1, "one_2dim_0merging": 2, "one_2dim_1merging": 4, "omega_2dim": 8}
+
+
+def pattern_least_witnesses(p, memo):
+    """The least order-preserving sub-pattern of p, in (size, code) order,
+    for each witness kind it has: divergent and irreducible ("omega_hyp"),
+    and that plus 0-merging, 1-merging or merging ("one_2dim_0merging",
+    "one_2dim_1merging", "omega_2dim").  memo holds the witnesses of the
+    deletions decided so far, at every depth; p's own are not added."""
+    found = {}
+    if p.size > 1:
+        rows = p.rows
+        for v in range(p.size):
+            d = _coded(p.size - 1, _gather(rows, [x for x in range(p.size) if x != v]))
+            w = memo.get(d)
+            if w is None:
+                w = memo[d] = pattern_least_witnesses(d, memo)
+            for key, q in w.items():
+                found[key] = min(found.get(key, q), q)
+    fl = classify(p)
+    if fl.divergent and fl.irreducible:
+        for key, holds in (("omega_hyp", True),
+                           ("one_2dim_0merging", fl.merging0),
+                           ("one_2dim_1merging", fl.merging1),
+                           ("omega_2dim", fl.merging)):
+            if holds:
+                found.setdefault(key, p)
+    return found
 
 
 def witness_kinds(witnesses) -> int:
@@ -242,12 +271,45 @@ def least_witness_census(size):
     witnesses of every smaller pattern."""
     memo, rows, kinds = {}, [], []
     for p in enumerate_patterns(size):
-        w = classifier._least_witnesses(p, memo)
+        w = pattern_least_witnesses(p, memo)
         rows.append(CensusRow(p, classify(p), "omega_hyp" in w,
                               "one_2dim_0merging" in w and "one_2dim_1merging" in w,
                               "omega_2dim" in w))
         kinds.append(witness_kinds(w))
     return rows, kinds, memo
+
+
+def package_least_witnesses(p):
+    """The package walk's least witnesses of p, keyed and valued as
+    pattern_least_witnesses keys and values them."""
+    return {classifier._KIND_NAMES[i]: _coded(*q)
+            for i, q in classifier._least_witnesses(p.size, p.code).items()}
+
+
+class TestLeastWitnessWalk:
+    def test_every_pattern_to_size6(self, time_limit):
+        memo = {}
+        for size in range(1, 7):
+            for p in enumerate_patterns(size):
+                assert package_least_witnesses(p) == pattern_least_witnesses(p, memo), p
+
+    def test_seeded_sizes_7_to_14(self, time_limit):
+        rng = random.Random(14)
+        combos = Counter()
+        for size in range(7, 15):
+            for _ in range(40 if size <= 10 else 8 if size <= 12 else 3):
+                p = biased_pattern(rng, size)
+                want = pattern_least_witnesses(p, {})
+                assert package_least_witnesses(p) == want, p
+                rep = report(p)
+                verdicts = (rep.verdict_omega_hyp, rep.verdict_one_2dim,
+                            rep.verdict_omega_2dim)
+                assert (preserves_omega_hyp(p), preserves_one_2dim(p),
+                        preserves_omega_2dim(p)) == verdicts
+                combos[verdicts] += 1
+                assert rep.witnesses == {key: str(q) for key, q in want.items()
+                                         if rep.verdict_one_2dim or "one_2dim" not in key}
+        assert len(combos) == 4  # none, omega_hyp alone, and each with one_2dim on
 
 
 class TestKindTables:
@@ -277,23 +339,23 @@ class TestKindTables:
 
     def test_size8_sample_matches_least_witnesses(self, time_limit):
         # census 8's verdicts, one row at a time as census makes them, for
-        # 1,000 seeded codes
+        # 10,000 seeded codes
         below = classifier._kind_table(7)
-        deletions = classifier._deletion_tables(8)
+        deletions = classifier._deletion_tables(8)[1:]
         rng, memo = random.Random(8), {}
-        for _ in range(1000):
+        for _ in range(10_000):
             p = _coded(8, rng.getrandbits(28))
             kinds = classifier._inherited(p.code, below[p.code & (1 << 21) - 1], below,
                                           deletions) | classifier._own_kinds(classify(p))
-            assert kinds == witness_kinds(classifier._least_witnesses(p, memo)), p
+            assert kinds == witness_kinds(pattern_least_witnesses(p, memo)), p
 
     def test_deletion_tables_give_restrictions(self):
-        for size in range(2, 9):
+        for size in range(2, 13):
             deletions = classifier._deletion_tables(size)
             rng = random.Random(size)
             for _ in range(50):
                 p = _coded(size, rng.getrandbits(size * (size - 1) // 2))
-                b = p.code.to_bytes(4, "little")
-                for v, tables in enumerate(deletions, 1):
-                    got = tables[0][b[0]] | tables[1][b[1]] | tables[2][b[2]] | tables[3][b[3]]
+                b = p.code.to_bytes(len(deletions[0]), "little")
+                for v, tables in enumerate(deletions):
+                    got = sum(table[byte] for table, byte in zip(tables, b))
                     assert got == restrict(p, [x for x in range(size) if x != v]).code

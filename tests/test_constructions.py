@@ -423,6 +423,10 @@ class TestIndexing:
         with pytest.raises(PatternError):
             pattern_index(parse_pattern("1:"))
 
+    def test_rejects_negative_index(self):
+        with pytest.raises(PatternError, match="pattern index must be nonnegative"):
+            index_pattern(-1)
+
     def test_cantor_pairing(self):
         assert cantor_pair(0, 0) == 0
         assert cantor_pair(1, 0) == 1
@@ -600,6 +604,19 @@ class TestBiArrayFunctional:
 
 
 class TestDncBuilder:
+    def test_one_block_short_of_the_restraints(self, monkeypatch):
+        # a planted defect: h_bound one short gives requirement 1 a single
+        # block, the oldest element, which requirement 0 has restrained
+        bound = constructions.h_bound
+        monkeypatch.setattr(constructions, "h_bound", lambda k: max(bound(k) - 1, 0))
+        o = ApproxOracle(((0, 0, frozenset(range(5))),))
+        with pytest.raises(AssertionError,
+                           match=r"R\[1,0\]: every block meets a restraint at stage 2"):
+            build_dnc_coloring(o, 5)
+        monkeypatch.undo()
+        f, trace = build_dnc_coloring(o, 5)
+        assert verify_trace(trace, f).passed
+
     def test_empty_oracle_all_zero(self):
         f, trace = build_dnc_coloring(ApproxOracle(()), 30)
         assert not any(f.rows)
@@ -1020,6 +1037,12 @@ class TestStable2dimBuilder:
 
 
 class TestVerifyTrace:
+    def test_event_detail_of_a_missing_key(self):
+        event = TraceEvent(3, "restrain", "R[0,0]", (("elements", "1,2"),))
+        assert event.get("elements") == "1,2"
+        with pytest.raises(KeyError, match="^'block'$"):
+            event.get("block")
+
     def test_empty_trace_passes(self):
         trace = ConstructionTrace("dnc", 5, ())
         assert verify_trace(trace, constant_coloring(5)).passed

@@ -4,6 +4,7 @@ import pytest
 
 from patternkit import oracle
 from patternkit.core import (
+    Embedding,
     FiniteColoring,
     PartialColoring,
     Pattern,
@@ -129,6 +130,14 @@ class TestPatternOps:
         with pytest.raises(PatternError):
             restrict(parse_pattern("3:010"), [1, 3])
 
+    def test_restrict_rejects_no_vertices(self):
+        with pytest.raises(PatternError, match="cannot restrict to the empty vertex set"):
+            restrict(parse_pattern("3:010"), [])
+
+    def test_colour_of_a_pair_outside(self):
+        with pytest.raises(PatternError, match=r"pair \(0,3\) outside pattern of size 3"):
+            parse_pattern("3:010")(0, 3)
+
 
 class TestRealization:
     def test_realizes_fig_coloring(self, fig_coloring):
@@ -233,6 +242,10 @@ class TestEmbeddings:
         with pytest.raises(PatternError):
             is_subpattern(parse_pattern("2:0"), parse_pattern("3:000"), "sideways")
 
+    def test_repeated_entries_rejected(self):
+        with pytest.raises(PatternError, match="embedding entries must be pairwise distinct"):
+            Embedding((0, 2, 0))
+
 
 class TestStableColorings:
     def _stable_instance(self):
@@ -295,6 +308,14 @@ class TestStableColorings:
     def test_limit_length_checked(self):
         with pytest.raises(PatternError):
             StableColoring(constant_coloring(3), (0, 1))
+
+    def test_limit_values_checked(self):
+        with pytest.raises(PatternError, match="limits must be 0 or 1"):
+            StableColoring(constant_coloring(3), (0, 1, 2))
+
+    def test_witness_colours_checked(self):
+        with pytest.raises(PatternError, match="witness colors must be 0 or 1"):
+            PartialColoring({0: 1, 3: 2})
 
 
 class TestColorings:

@@ -65,6 +65,12 @@ class TestColoringFiles:
         with pytest.raises(PatternError):
             parse_stable_coloring("2\n0\n")
 
+    def test_stable_bad_limit_line(self):
+        with pytest.raises(PatternError, match="bad limit line '02'"):
+            parse_stable_coloring("2\n0\n02\n")
+        with pytest.raises(PatternError, match="bad limit line '011'"):
+            parse_stable_coloring("2\n0\n011\n")
+
 
 class TestTreeFiles:
     def test_round_trip(self):
