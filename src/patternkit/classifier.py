@@ -38,7 +38,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import _kernels
 from .core import Pattern, PatternError, _coded, _gather, _Record, format_pattern, vertex_maps
-from .algebra import ClassificationFlags, _flags, classify
+from .algebra import (ClassificationFlags, _divergent, _flags, _i_merging, _irreducible,
+                      classify)
 
 # The enumeration guard: C(l,2) <= 28, i.e. l <= 8.  A census of size l holds
 # the kind table of size l-1 (2 MB at l = 8) and streams 2^C(l,2) rows.  Cold
@@ -87,6 +88,15 @@ def _own_kinds(fl: ClassificationFlags) -> int:
     return 1 | merging0 << 1 | merging1 << 2 | (merging0 and merging1) << 3
 
 
+def _own_kinds_of(size: int, code: int) -> int:
+    """_own_kinds of the pattern (size, code), whose merging flags are read
+    only when it is divergent and irreducible."""
+    rows = _kernels._rows_of(size, code)
+    if not (_divergent(rows) and _irreducible(rows)):
+        return 0
+    return _own_kinds(ClassificationFlags(True, True, *(_i_merging(rows, i) for i in (0, 1))))
+
+
 @lru_cache(maxsize=None)
 def _deletion_tables(size: int) -> tuple[tuple[list[int], ...], ...]:
     """For each vertex v: at least four tables, one per byte of a code of
@@ -125,7 +135,7 @@ def _least_witnesses(size: int, code: int) -> dict[int, tuple[int, int]]:
                 least = list(map(min, *[memo.get(l - 1 << top | d) or walk(l - 1, d)
                                         for d in below]))
             if l > 2 and absent in least:
-                own = _own_kinds(_flags(_kernels._rows_of(l, c)))
+                own = _own_kinds_of(l, c)
                 least = [key if w == absent and own >> i & 1 else w
                          for i, w in enumerate(least)]
             memo[key] = least
@@ -198,7 +208,7 @@ def _extend(size: int, below: bytearray) -> bytearray:
             code = high | rest
             kinds = _inherited(code, below[rest], below, deletions)
             if kinds != ALL_KINDS:
-                kinds |= _own_kinds(_flags(_kernels._rows_of(size, code)))
+                kinds |= _own_kinds_of(size, code)
             table[code] = kinds
     return table
 

@@ -31,9 +31,9 @@ if TYPE_CHECKING:
 
 # The most stages a builder runs.  The builders hold one row per stage, so the
 # cost grows with its square: at the cap a cold `simulate` on the test and
-# benchmark oracles took 1.3-3.6 s and 210-290 MB, about 1.1 s of it
-# FiniteColoring's symmetry check, and without it --stages 10^12 died
-# allocating its rows.
+# benchmark oracles took 0.7-2.5 s and 206-288 MB on a 2-core host with
+# Python 3.11, about 0.5 s of it FiniteColoring's symmetry check, and without
+# the cap --stages 10^12 died allocating its rows.
 MAX_STAGES = 10_000
 
 
@@ -402,55 +402,77 @@ def build_dnc_coloring(o: ApproxOracle, stages: int
 
 
 # ---------------------------------------------------------------------------
-# shared by the finite-injury builders
+# the finite-injury stage loop, shared by the measure and stable2dim builders
+
+# the step at which an acting requirement injures every requirement below it
+_INJURIES = ("injury", None)
 
 
-class _CommittedRows:
-    """A finite-injury builder's commitments and the rows they color.
+def _finite_injury(stages: int, labels: Sequence[str], wakes: Iterable[Iterable[int]], ask,
+                   injure) -> tuple[tuple[int, ...], dict[int, int], tuple[TraceEvent, ...]]:
+    """The stage loop of a finite-injury construction (R. I. Soare, Turing
+    Computability, ch. 7): the rows, the limit colour of each committed
+    vertex in commit order, and the events.
 
-    Stage s colors each pair (x, s) of a committed vertex x < s with x's
-    limit color, before the stage acts.  Row s takes those bits at once, as
-    the mask of the vertices committed to 1; row x takes the bits of a whole
+    Requirement j has the label labels[j] and the wake stages wakes[j]: the
+    stages at which its answer may change.  At stage s, `ask(j, s, rows)`
+    returns None, or the steps of j's action in trace order.  A step is an
+    event (kind, detail), a commitment ("commit", (vertices, colour)), which
+    the stages after s colour with, or _INJURIES, where `injure(jj, s)`
+    resets each requirement jj below j and says whether it held anything.  A
+    stage asks, in priority order, the requirements with a wake stage there
+    and, after an action at j, every requirement from j down; the others
+    keep their answer, none.  The first that acts ends the stage.
+
+    Stage s colours each pair (x, s) of a committed vertex x < s with x's
+    limit colour before it asks: row s takes those bits at once, as the mask
+    of the vertices committed to 1, and row x takes the bits of a whole
     commitment interval at once, when x is recommitted and at the end.  So
-    until then row x lacks the pairs of its current interval, and a builder
-    reads a finished pair x < y from row y."""
-
-    __slots__ = ("rows", "limits", "ones", "_since")
-
-    def __init__(self, stages: int):
-        self.rows = [0] * stages
-        self.limits: dict[int, int] = {}  # vertex -> limit color, in commit order
-        self.ones = 0  # the vertices committed to 1
-        self._since: dict[int, int] = {}  # vertex -> first stage it colors
-
-    def color(self, s: int) -> None:
-        self.rows[s] |= self.ones
-
-    def commit(self, x: int, c: int, s: int) -> None:
-        """Commit x to c at stage s; the stages after s color with it."""
-        if self.limits.get(x):  # the old commitment colored stages since..s
-            self.rows[x] |= (2 << s) - (1 << self._since[x])
-        self.limits[x] = c
-        self._since[x] = s + 1
-        self.ones = self.ones | 1 << x if c else self.ones & ~(1 << x)
-
-    def finish(self) -> tuple[int, ...]:
-        rows, top = self.rows, 1 << len(self.rows)
-        for x, c in self.limits.items():
-            if c:
-                rows[x] |= top - (1 << self._since[x])
-        return tuple(rows)
-
-
-def _wake_table(stages: int, wake_stages: Iterable[Iterable[int]]) -> dict[int, list[int]]:
-    """Stage -> the requirements, in priority order, given a wake stage
-    there by wake_stages (one iterable per requirement)."""
-    table: dict[int, list[int]] = {}
-    for j, ss in enumerate(wake_stages):
+    an ask reads a finished pair x < y < s from row y."""
+    n = len(labels)
+    wake: dict[int, list[int]] = {}
+    for j, ss in enumerate(wakes):
         for s in set(ss):
             if 0 <= s < stages:
-                table.setdefault(s, []).append(j)
-    return table
+                wake.setdefault(s, []).append(j)
+    rows = [0] * stages
+    limits: dict[int, int] = {}
+    since: dict[int, int] = {}  # vertex -> the first stage its commitment colours
+    ones = 0  # the vertices committed to 1
+    events: list[TraceEvent] = []
+    ask_from = 0  # the first requirement whose answer is not known to be none
+    for s in range(stages):
+        rows[s] |= ones
+        asked = [j for j in wake.get(s, ()) if j < ask_from]
+        asked += range(ask_from, n)
+        ask_from = n
+        for j in asked:
+            steps = ask(j, s, rows)
+            if steps is None:
+                continue
+            for kind, detail in steps:
+                if kind == "injury":
+                    for jj in range(j + 1, n):
+                        if injure(jj, s):
+                            events.append(TraceEvent(s, "injury", labels[jj],
+                                                     _detail(by=labels[j])))
+                elif kind == "commit":
+                    xs, c = detail
+                    for x in xs:
+                        if limits.get(x):  # the old commitment coloured since[x]..s
+                            rows[x] |= (2 << s) - (1 << since[x])
+                        limits[x], since[x] = c, s + 1
+                        ones = ones | 1 << x if c else ones & ~(1 << x)
+                        events.append(TraceEvent(s, "commit", labels[j],
+                                                 _detail(x=x, limit=c, start=s)))
+                else:
+                    events.append(TraceEvent(s, kind, labels[j], detail))
+            ask_from = j
+            break
+    for x, c in limits.items():
+        if c:
+            rows[x] |= (1 << stages) - (1 << since[x])
+    return tuple(rows), limits, tuple(events)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +491,9 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     when it or a higher one acts, and the entries qualifying at the stage,
     which only grow, each at its stage, its prefix length or one of its
     elements.  An action moves the actor's marker and every lower one to the
-    next stage, where no entry qualifies yet.  So a stage asks only the
-    requirements whose functional has such a wake stage there."""
+    next stage, where no entry qualifies yet.  So its wake stages are its
+    functional's stages, prefix lengths and elements, and the asks after an
+    action answer none."""
     _check_stages(stages)
     if len(fs) != len(patterns):
         raise PatternError("one pattern per functional required")
@@ -479,52 +502,41 @@ def build_measure_coloring(fs: Sequence[PrefixFunctional],
     n = len(fs)
     markers = [0] * n
     states: list[list[range]] = [[] for _ in range(n)]
-    committed = _CommittedRows(stages)
-    events: list[TraceEvent] = []
-    wake = _wake_table(stages, ((x for tau, s0, elems in fn.entries
-                                 for x in (s0, len(tau), *elems)) for fn in fs))
 
-    for s in range(stages):
-        # color first: the attention stage itself lies inside the interval
-        # being stacked, so it must carry the commitments in force before
-        # this attention
-        committed.color(s)
-        j = next((j for j in wake.get(s, ())
-                  if requires_attention_measure(states[j], fs[j], markers[j], s, patterns[j])),
-                 None)
-        if j is None:
-            continue
-        p, req = patterns[j], f"R[{j}]"
+    def ask(j, s, rows):
+        # the stage was coloured first: it lies inside the interval being
+        # stacked, so it carries the commitments in force before this attention
+        p = patterns[j]
+        if not requires_attention_measure(states[j], fs[j], markers[j], s, p):
+            return None
         t = len(states[j])
-        F_t = range(markers[j], s + 1)
-        states[j].append(F_t)
-        events.append(TraceEvent(s, "attention", req,
-                                 _detail(length=t + 1, block=",".join(map(str, F_t)))))
+        states[j].append(range(markers[j], s + 1))
         markers[j] = s + 1
-        events.append(TraceEvent(s, "marker", req, _detail(to=s + 1)))
-        for jj in range(j + 1, n):
-            if states[jj] or markers[jj] < s + 1:
-                events.append(TraceEvent(s, "injury", f"R[{jj}]", _detail(by=req)))
-            states[jj] = []
-            markers[jj] = max(markers[jj], s + 1)
-        if t < p.size - 1:
-            for i, F_i in enumerate(states[j]):
-                c = p(i, t + 1)
-                for x in F_i:
-                    committed.commit(x, c, s)
-                    events.append(TraceEvent(s, "commit", req,
-                                             _detail(x=x, limit=c, start=s)))
-    f = FiniteColoring(stages, committed.finish())
+        commits = enumerate(states[j]) if t < p.size - 1 else ()
+        return [("attention", _detail(length=t + 1, block=",".join(map(str, states[j][t])))),
+                ("marker", _detail(to=s + 1)), _INJURIES,
+                *(("commit", (F_i, p(i, t + 1))) for i, F_i in commits)]
+
+    def injure(jj, s):
+        held = bool(states[jj]) or markers[jj] < s + 1
+        states[jj] = []
+        markers[jj] = max(markers[jj], s + 1)
+        return held
+
+    rows, limits, events = _finite_injury(
+        stages, [f"R[{j}]" for j in range(n)],
+        ([x for tau, s0, elems in fn.entries for x in (s0, len(tau), *elems)] for fn in fs),
+        ask, injure)
     trace = ConstructionTrace(
-        "measure", stages, tuple(events),
+        "measure", stages, events,
         final={
             "states": {f"R[{j}]": [list(F) for F in states[j]] for j in range(n)},
             "markers": {f"R[{j}]": markers[j] for j in range(n)},
-            "commitments": dict(committed.limits),
+            "commitments": limits,
         },
         aux={"functionals": list(fs), "patterns": list(patterns)},
     )
-    return f, trace
+    return FiniteColoring(stages, rows), trace
 
 
 # ---------------------------------------------------------------------------
@@ -542,81 +554,63 @@ def build_stable_2dim_coloring(bs: Sequence[BiArrayFunctional], stages: int
     change only when it or a higher one acts; its functional's sets in
     effect, which change at an entry's stage; whether each set lies below
     the stage, which changes at max(S) + 1; and cross colors of pairs below
-    the stage, which are final.  So a stage asks the requirements whose
-    functional has such a wake stage there and, after an action, every
-    requirement from the actor down; the others keep their answer, none."""
+    the stage, which are final.  So its wake stages are those two of each
+    entry of its functional."""
     _check_stages(stages)
     n = 2 * len(bs)
     labels = [f"R[{j // 2},{j % 2}]" for j in range(n)]
     status = ["none"] * n   # none / partial / full
     restraints: list[set[int]] = [set() for _ in range(n)]
-    committed = _CommittedRows(stages)
-    rows = committed.rows
-    events: list[TraceEvent] = []
+
+    def ask(j, s, rows):
+        e, i = divmod(j, 2)
+        fn = bs[e]
+        higher = set().union(*restraints[:j])
+
+        def fits(S):  # nonempty, inside (e, s) and free of higher restraints
+            return S and e < min(S) and max(S) < s and not S & higher
+
+        # (attention detail, new status, (set, limit color) commitments)
+        action = None
+        if status[j] != "full":
+            for nn, mm in fn.secondary_args():
+                E, F = fn.E(nn, s), fn.F(nn, mm, s)
+                # pair (x, y), x < y < s, was colored at stage y
+                if (fits(E) and fits(F) and max(E) < min(F)
+                        and all(rows[y] >> x & 1 == 1 - i for x in E for y in F)):
+                    action = (_detail(kind="second", n=nn, m=mm), "full", ((E, i), (F, 1 - i)))
+                    break
+        if action is None and status[j] == "none":
+            for nn in fn.primary_args():
+                E = fn.E(nn, s)
+                if fits(E):
+                    action = (_detail(kind="first", n=nn), "partial", ((E, 1 - i),))
+                    break
+        if action is None:
+            return None
+        detail, status[j], pairs = action
+        restraints[j] = set().union(*(S for S, _c in pairs))
+        return [("attention", detail),
+                ("restrain", _detail(elements=",".join(map(str, sorted(restraints[j]))))),
+                *(("commit", (sorted(S), c)) for S, c in pairs), _INJURIES]
+
+    def injure(jj, s):
+        held = status[jj] != "none"
+        status[jj] = "none"
+        restraints[jj] = set()
+        return held
+
     # both requirements of a functional wake at each of its entries' stages
     # and at max(S) + 1 for each nonempty entry set S
     entries = [fn.primary + fn.secondary for fn in bs for _i in (0, 1)]
-    wake = _wake_table(stages, ([*(s0 for *_key, s0, _S in es),
-                                 *(max(S) + 1 for *_key, _s0, S in es if S)]
-                                for es in entries))
-    ask_from = 0  # the first requirement whose answer is not known to be none
-
-    for s in range(stages):
-        committed.color(s)
-        asked = [j for j in wake.get(s, ()) if j < ask_from]
-        asked += range(ask_from, n)
-        ask_from = n
-        for j in asked:
-            e, i = divmod(j, 2)
-            fn = bs[e]
-            higher = set().union(*restraints[:j])
-
-            def fits(S):  # nonempty, inside (e, s) and free of higher restraints
-                return S and e < min(S) and max(S) < s and not S & higher
-
-            # (attention detail, new status, (set, limit color) commitments)
-            action = None
-            if status[j] != "full":
-                for nn, mm in fn.secondary_args():
-                    E, F = fn.E(nn, s), fn.F(nn, mm, s)
-                    # pair (x, y), x < y < s, was colored at stage y
-                    if (fits(E) and fits(F) and max(E) < min(F)
-                            and all(rows[y] >> x & 1 == 1 - i for x in E for y in F)):
-                        action = (_detail(kind="second", n=nn, m=mm), "full",
-                                  ((E, i), (F, 1 - i)))
-                        break
-            if action is None and status[j] == "none":
-                for nn in fn.primary_args():
-                    E = fn.E(nn, s)
-                    if fits(E):
-                        action = (_detail(kind="first", n=nn), "partial", ((E, 1 - i),))
-                        break
-            if action is None:
-                continue
-            detail, status[j], pairs = action
-            restraints[j] = set().union(*(S for S, _c in pairs))
-            events.append(TraceEvent(s, "attention", labels[j], detail))
-            events.append(TraceEvent(s, "restrain", labels[j],
-                                     _detail(elements=",".join(map(str, sorted(restraints[j]))))))
-            for S, c in pairs:
-                for x in sorted(S):
-                    committed.commit(x, c, s)
-                    events.append(TraceEvent(s, "commit", labels[j],
-                                             _detail(x=x, limit=c, start=s)))
-            for jj in range(j + 1, n):
-                if status[jj] != "none":
-                    events.append(TraceEvent(s, "injury", labels[jj], _detail(by=labels[j])))
-                status[jj] = "none"
-                restraints[jj] = set()
-            ask_from = j
-            break
-
-    f = FiniteColoring(stages, committed.finish())
-    limits = tuple(committed.limits.get(x, 0) for x in range(stages))
-    sc = StableColoring(f, limits)
+    wakes = ([*(s0 for *_key, s0, _S in es), *(max(S) + 1 for *_key, _s0, S in es if S)]
+             for es in entries)
+    rows, limits, events = _finite_injury(stages, labels, wakes, ask, injure)
+    sc = StableColoring(FiniteColoring(stages, rows),
+                        tuple(limits.get(x, 0) for x in range(stages)))
     trace = ConstructionTrace(
-        "stable2dim", stages, tuple(events),
-        final={"satisfied": dict(zip(labels, status)), "commitments": dict(committed.limits)},
+        "stable2dim", stages, events,
+        final={"satisfied": dict(zip(labels, status)), "commitments": limits},
     )
     return sc, trace
 

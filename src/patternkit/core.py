@@ -228,10 +228,11 @@ class FiniteColoring(_Record):
                    for x, r in enumerate(rows)):
             raise PatternError(f"rows must be masks below 2^{window} with no diagonal bit")
         # character y of text[x] is f(x, y); symmetric: each column of the
-        # joined text equals the row of the same index
+        # joined text, above the diagonal, equals the row of the same index
+        # left of it, so each unordered pair is compared once
         text = [format(r, f"0{window}b")[::-1] for r in rows]
         flat = "".join(text)
-        if any(flat[x::window] != t for x, t in enumerate(text)):
+        if any(flat[x:x * window:window] != t[:x] for x, t in enumerate(text)):
             raise PatternError("pair colors must be symmetric")
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "rows", rows)

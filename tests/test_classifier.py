@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from patternkit import classifier, oracle
+from patternkit import _kernels, classifier, oracle
 from patternkit.cli import main
 from patternkit.core import (
     PatternError, _coded, _gather, dual, is_subpattern, parse_pattern, restrict,
@@ -163,14 +163,20 @@ class TestCensus:
             "omega_hyp": 2, "one_2dim": 0, "omega_2dim": 0}
 
     def test_rows_stream(self, monkeypatch):
-        # census yields each row as it makes it: the first costs one classify
-        # per size down the all-zero deletions, not one per pattern of size 6
-        calls = []
-        monkeypatch.setattr(classifier, "classify",
-                            lambda p: calls.append(p) or classify(p))
+        # census yields each row as it makes it: the first pulls one row mask
+        # tuple from the stream, not the 2^15 of size 6
+        pulled = []
+        stream = _kernels._rows_by_code
+
+        def counted(size):
+            for rows in stream(size):
+                pulled.append(size)
+                yield rows
+
+        monkeypatch.setattr(_kernels, "_rows_by_code", counted)
         rows = census(6)
         assert str(next(rows).pattern) == "6:000000000000000"
-        assert len(calls) <= 7
+        assert pulled == [6]
         rows.close()
         with pytest.raises(PatternError):
             next(census(9))

@@ -915,6 +915,45 @@ class TestMeasureBuilder:
         assert not res.passed
         assert res.message == "R[0]: measure 0 for [6, 7] not above 5/6"
 
+    def test_union_bound_gives_the_joint_measure(self):
+        # why p2's joint branch cannot fail on a state whose intervals pass:
+        # |p| intervals, each missed by measure < 1/(2|p|), are all met but
+        # for measure < |p| * 1/(2|p|) = 1/2.  Here the misses are disjoint
+        # sets of depth-6 cylinders, the bound's worst case, each up to the
+        # most leaves that stay below 1/(2|p|)
+        rng = random.Random(2)
+        leaves = ["".join(bits) for bits in itertools.product("01", repeat=6)]
+        tight = 0
+        for _ in range(200):
+            k = rng.randint(2, 4)
+            most = -(-64 // (2 * k)) - 1
+            misses = [rng.randint(0, most) for _ in range(k)]
+            order = rng.sample(leaves, 64)
+            targets, entries = [], []
+            for i, m in enumerate(misses):
+                targets.append(frozenset(range(3 * i, 3 * i + 3)))
+                missed, order = set(order[:m]), order[m:]
+                entries += [(tau, rng.randrange(9), frozenset({rng.choice(sorted(targets[i]))}))
+                            for tau in leaves if tau not in missed]
+            fn = PrefixFunctional(tuple(entries))
+            for t, m in zip(targets, misses):
+                assert cover_measure(fn.qualifying_prefixes(9, t)) == 1 - Fraction(m, 64) \
+                    > 1 - Fraction(1, 2 * k)
+            joint = joint_meeting_measure(fn, 9, targets)
+            assert joint == 1 - Fraction(sum(misses), 64) > Fraction(1, 2)
+            tight += joint < Fraction(5, 8)
+        assert tight >= 10
+
+    def test_p2_joint_branch_reached_by_a_planted_measure(self, monkeypatch):
+        fn = PrefixFunctional(tuple(("", s, frozenset({s}))
+                                    for s in range(5, 100, 5)))
+        f, trace = build_measure_coloring([fn], [parse_pattern("3:010")], 100)
+        assert len(trace.final["states"]["R[0]"]) == 3
+        monkeypatch.setattr(constructions, "joint_meeting_measure",
+                            lambda fn, s, target_sets: Fraction(1, 2))
+        assert verify_trace(trace, f, checks=("p2",)).results == (constructions.CheckResult(
+            "p2", False, None, "R[0]: joint measure 1/2 not above 1/2"),)
+
     def test_pattern_per_functional_required(self):
         with pytest.raises(PatternError):
             build_measure_coloring([PrefixFunctional(())], [], 10)

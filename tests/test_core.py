@@ -275,6 +275,18 @@ class TestStableColorings:
             strongly_realizes(sc, [0, 0], p)
         assert strongly_realizes(sc, [0, 1, 1, 0], p)
 
+    def test_strongly_realizes_needs_size_2(self):
+        sc = StableColoring(constant_coloring(2), (0, 0))
+        with pytest.raises(PatternError, match="strong realization needs a pattern of size >= 2"):
+            strongly_realizes(sc, set(), parse_pattern("1:"))
+
+    def test_strongly_realizes_needs_truncation_realized(self):
+        # the limits (1, 0) match the last column of "3:110", but its
+        # truncation "2:1" is absent from a 0-coloring
+        sc = StableColoring(constant_coloring(3), (1, 0, 0))
+        assert not strongly_realizes(sc, {0, 1}, parse_pattern("3:110"))
+        assert strongly_realizes(sc, {0, 1}, parse_pattern("3:010"))
+
     def test_strongly_appears(self):
         sc = self._stable_instance()
         assert strongly_appears(sc, {0, 1, 2}, parse_pattern("3:010"))
@@ -284,6 +296,11 @@ class TestStableColorings:
         sc = StableColoring(constant_coloring(4), (0,) * 4)
         assert not strongly_appears(sc, [1, 1], parse_pattern("3:000"))
         assert strongly_appears(sc, [1, 1, 2], parse_pattern("3:000"))
+
+    def test_strongly_appears_needs_size_2(self):
+        sc = StableColoring(constant_coloring(2), (0, 0))
+        with pytest.raises(PatternError, match="strong appearance needs a pattern of size >= 2"):
+            strongly_appears(sc, {0, 1}, parse_pattern("1:"))
 
     def test_strongly_appears_needs_truncation_realizer(self):
         sc = StableColoring(constant_coloring(3), (1, 0, 0))
@@ -323,6 +340,22 @@ class TestColorings:
         # f(0, 1) = 1 in row 0 but 0 in row 1
         with pytest.raises(PatternError):
             FiniteColoring(3, (0b010, 0, 0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_planted_asymmetric_pair_rejected(self, seed):
+        # the check compares each unordered pair once, from the lower
+        # triangle: a colour set in either row of the pair alone must raise
+        rng, w = random.Random(seed), 23
+        f = coloring_from_function(w, lambda x, y: rng.getrandbits(1))
+        pairs = [(0, w - 1), (w - 2, w - 1), (0, 1)]
+        pairs += [tuple(rng.sample(range(w), 2)) for _ in range(20)]
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                rows = list(f.rows)
+                rows[a] ^= 1 << b
+                with pytest.raises(PatternError, match="pair colors must be symmetric"):
+                    FiniteColoring(w, tuple(rows))
+        assert FiniteColoring(w, f.rows) == f
 
     def test_colors_must_be_0_or_1(self):
         with pytest.raises(PatternError):
