@@ -62,11 +62,22 @@ def decompositions(p: Pattern) -> list[tuple[Pattern, Pattern]]:
 def _irreducible(rows) -> bool:
     """The split criterion on row masks: every split F = [0,k), G = [k,l)
     with F nonempty and |G| >= 2 has an F-vertex whose colors toward G
-    differ."""
+    differ.
+
+    One pass over the rows: row x is constant on [t, l) exactly from
+    t_x = x + 1 + b on, where b is the bit length of its colors above x
+    read with the color toward the last vertex as 0.  So split k fails the
+    criterion (is a seam) when t_x <= k for every x < k."""
     size = len(rows)
-    for k in range(1, size - 1):
-        G = (1 << size) - (1 << k)
-        if all(r & G in (0, G) for r in rows[:k]):
+    reach = 0  # max t_x over the rows so far
+    for x in range(size - 2):
+        above = rows[x] >> x + 1
+        if above >> size - x - 2:
+            above ^= (1 << size - x - 1) - 1
+        t = x + 1 + above.bit_length()
+        if t > reach:
+            reach = t
+        if reach <= x + 1:
             return False
     return True
 

@@ -12,12 +12,23 @@ The sampled suites draw from their generator exactly as `randint`, `choice`
 and one `randint(0, 1)` per pair would, in the same order, but through
 `getrandbits` directly (`_below`, `_coins`): the pinned digests in the tests
 hold the values and the generator's end state.
+
+`run_suites` runs the suites in forked helpers, one per usable CPU up to one
+per suite.  A suite's result depends only on its name, the seed and the
+count, so the output is the same as in one process, whichever helper ran
+which suite.  The helpers claim suites from one queue pipe, a byte per suite
+index, and send their results back marshalled; a suite no helper reported
+(it raised, or its helper died) is run again in the parent, which then
+raises its exception itself.  With one usable CPU or one suite the parent
+runs every suite through the same claim loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
+import os
 import random
 import zlib
 from typing import Callable, NamedTuple, Optional
@@ -328,7 +339,8 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 def run_suites(seed: int = 0, count: int = 10_000,
                names: Optional[list[str]] = None) -> list[SuiteResult]:
-    """Run the named suites (all of them by default), in the order given."""
+    """Run the named suites (all of them by default); the results come back
+    in the order given, whichever process ran each suite."""
     if count < 0:
         raise PatternError(f"count must be nonnegative, got {count}")
     # a suite's generator is seeded with seed ^ crc32(name), and
@@ -343,8 +355,89 @@ def run_suites(seed: int = 0, count: int = 10_000,
     unknown = [n for n in chosen if n not in SUITES]
     if unknown:
         raise PatternError(f"unknown suites: {', '.join(map(repr, unknown))}")
-    results = []
-    for name in chosen:
-        rng = random.Random(seed ^ zlib.crc32(name.encode()))
-        results.append(SUITES[name](rng, count))
-    return results
+    helpers = min(len(chosen), len(os.sched_getaffinity(0)))
+    done = _from_helpers(chosen, seed, count, helpers) if helpers >= 2 else {}
+    # in-process: every suite, or those no helper reported, in order; a
+    # suite that raised in a helper raises here with its own traceback
+    _claim(_queue([k for k in range(len(chosen)) if k not in done]),
+           chosen, seed, count, done)
+    return [SuiteResult(*done[k]) for k in range(len(chosen))]
+
+
+def _queue(indices: list[int]) -> int:
+    """The read end of a pipe holding the indices, one byte each, whose
+    write end is closed: reads return b"" once it is empty."""
+    r, w = os.pipe()
+    os.write(w, bytes(indices))
+    os.close(w)
+    return r
+
+
+def _claim(queue: int, chosen: list[str], seed: int, count: int,
+           done: dict[int, tuple]) -> None:
+    """Claim suite indices from the queue one byte at a time, as any process
+    sharing it may, and run each claimed suite into `done` until the queue is
+    empty; closes the queue."""
+    try:
+        while claim := os.read(queue, 1):
+            k = claim[0]
+            rng = random.Random(seed ^ zlib.crc32(chosen[k].encode()))
+            done[k] = tuple(SUITES[chosen[k]](rng, count))
+    finally:
+        os.close(queue)
+
+
+def _from_helpers(chosen: list[str], seed: int, count: int,
+                  helpers: int) -> dict[int, tuple]:
+    """The results the forked helpers report: each claims suites from one
+    shared queue and sends back the marshalled {index: result} it finished.
+    The parent runs no suite here, so which process runs which suite
+    depends on timing only among the helpers.  Every helper is reaped
+    before this returns or raises."""
+    pids, pipes, done = [], [], {}
+    queue = _queue(list(range(len(chosen))))
+    try:
+        for _ in range(helpers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _helper(queue, w, chosen, seed, count)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        for pipe in pipes:
+            sent = pipe.read()  # to EOF: the helper has ended, or closed its end
+            try:
+                done.update(marshal.loads(sent))
+            except EOFError:
+                pass  # a helper that died before or while sending reported nothing
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
+    finally:
+        if pids:  # on an exception: end the helpers not yet reaped
+            from signal import SIGKILL
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+        os.close(queue)
+    return done
+
+
+def _helper(queue: int, out: int, chosen: list[str], seed: int, count: int):
+    """A forked helper: claim and run suites, then send what finished, even
+    after a suite raised, and leave with os._exit, so that no exit handler
+    or buffered output of the parent runs twice."""
+    done: dict[int, tuple] = {}
+    try:
+        _claim(queue, chosen, seed, count, done)
+    finally:
+        try:
+            with open(out, "wb") as pipe:
+                pipe.write(marshal.dumps(done))
+        finally:
+            os._exit(0)

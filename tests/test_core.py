@@ -88,6 +88,29 @@ class TestPatternText:
             parse_pattern("3:010")(1, 1)
 
 
+class TestPatternConstructor:
+    """Pattern(size, bits) validates what `_coded` takes on trust."""
+
+    def test_rejects_size_zero(self):
+        with pytest.raises(PatternError, match="^pattern size must be >= 1$"):
+            Pattern(0, ())
+
+    def test_rejects_wrong_number_of_colors(self):
+        with pytest.raises(PatternError,
+                           match="^pattern of size 3 needs 3 pair colors, got 2$"):
+            Pattern(3, (0, 1))
+
+    def test_rejects_a_color_other_than_0_or_1(self):
+        with pytest.raises(PatternError, match="^pair colors must be 0 or 1$"):
+            Pattern(3, (0, 2, 1))
+
+    def test_fields_cannot_be_deleted(self):
+        p = Pattern(2, (1,))
+        with pytest.raises(AttributeError, match="^cannot delete field 'size'$"):
+            del p.size
+        assert p.size == 2
+
+
 class TestPatternOps:
     def test_dual_of_named_pattern(self):
         assert dual(parse_pattern("3:010")) == parse_pattern("3:101")

@@ -1,6 +1,9 @@
 import hashlib
+import marshal
+import os
 import random
 import re
+import sys
 import zlib
 
 import pytest
@@ -89,6 +92,128 @@ class TestSuites:
         assert result.runs == 1_099 and not result.passed
         assert result.counterexamples == ("3:000", "3:001", "3:110", "3:111",
                                           "4:000000")
+
+
+def in_process(seed, count, names=None):
+    """The suites run one after another in this process: the loop
+    run_suites had before it handed suites to helper processes."""
+    return [SUITES[name](random.Random(seed ^ zlib.crc32(name.encode())), count)
+            for name in (names if names is not None else SUITES)]
+
+
+@pytest.fixture
+def forked(monkeypatch, time_limit):
+    """Report `cpus` usable CPUs to run_suites (2 unless a test sets it) and
+    record the pid of every helper it forks; afterwards, check that each was
+    reaped."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    cpus = [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus[0])))
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids, cpus
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestHelpers:
+    """run_suites with forked helpers against the in-process loop."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_equals_the_in_process_loop(self, forked, seed):
+        pids, _ = forked
+        for count in (0, 1, 50, 300):
+            assert run_suites(seed=seed, count=count) == in_process(seed, count)
+        assert len(pids) == 4 * 2
+
+    def test_one_helper_per_usable_cpu_up_to_one_per_suite(self, forked):
+        pids, cpus = forked
+        for cpus[0], names, helpers in [(4, None, 4), (16, None, 9),
+                                        (3, ["duality", "join-divergence"], 2)]:
+            pids.clear()
+            assert run_suites(seed=5, count=20, names=names) == in_process(5, 20, names)
+            assert len(pids) == helpers
+
+    @pytest.mark.parametrize("cpus, names", [(1, None), (2, ["merging-union"])],
+                             ids=["one-cpu", "one-suite"])
+    def test_no_fork_without_two_helpers(self, forked, monkeypatch, cpus, names):
+        forked[1][0] = cpus
+
+        def fork():
+            raise AssertionError("forked with fewer than two helpers")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_suites(seed=2, count=30, names=names) == in_process(2, 30, names)
+
+    def test_suite_raising_in_a_helper_raises_in_the_parent(self, forked, monkeypatch,
+                                                            tmp_path):
+        # each process that runs the planted suite logs its pid: a helper
+        # first, then the parent, whose own ValueError surfaces
+        log = tmp_path / "pids"
+
+        def planted(rng, count):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            raise ValueError("planted")
+
+        monkeypatch.setitem(lemmas.SUITES, "duality", planted)
+        with pytest.raises(ValueError, match="^planted$"):
+            run_suites(seed=0, count=10)
+        ran = [int(pid) for pid in log.read_text().split()]
+        assert len(ran) == 2 and ran[0] in forked[0] and ran[1] == os.getpid()
+
+    def test_helper_dying_mid_suite_is_made_good(self, forked, monkeypatch):
+        # the helper that claims avoidance-union ends without a word, losing
+        # the suites it finished before; the parent runs them all again
+        parent, real = os.getpid(), SUITES["avoidance-union"]
+
+        def planted(rng, count):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(rng, count)
+
+        monkeypatch.setitem(lemmas.SUITES, "avoidance-union", planted)
+        assert run_suites(seed=3, count=50) == in_process(3, 50)
+
+    def test_helper_sends_what_it_finished(self, monkeypatch):
+        # the helper's body run in this process, with os._exit planted to
+        # raise SystemExit: a raising suite ends its claims, and the suite it
+        # finished before is sent
+        def planted(rng, count):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(os, "_exit", sys.exit)
+        monkeypatch.setitem(lemmas.SUITES, "duality", planted)
+        chosen = ["join-divergence", "duality", "join-associative"]
+        r, w = os.pipe()
+        with pytest.raises(SystemExit, match="^0$"):
+            lemmas._helper(lemmas._queue([0, 1, 2]), w, chosen, 4, 30)
+        with open(r, "rb") as pipe:
+            sent = marshal.loads(pipe.read())
+        assert sent == {0: tuple(in_process(4, 30, chosen[:1])[0])}
+
+    def test_truncated_report_counts_as_none(self, forked, monkeypatch):
+        real = marshal.dumps
+        monkeypatch.setattr(marshal, "dumps", lambda value: real(value)[:-1])
+        assert run_suites(seed=11, count=20) == in_process(11, 20)
+
+    def test_parent_exception_kills_and_reaps_every_helper(self, forked, monkeypatch):
+        # the parent fails on the first report, with a helper that may still
+        # be running a suite: the helpers are killed, then reaped
+        def loads(data):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(marshal, "loads", loads)
+        with pytest.raises(RuntimeError, match="^planted$"):
+            run_suites(seed=0, count=2000)
+        assert len(forked[0]) == 2
 
 
 # sha256 of the (SuiteResult, rng.getstate()) reprs for seeds 0, 3, 11 and

@@ -12,6 +12,7 @@ import pytest
 
 from patternkit import oracle
 from patternkit.algebra import (
+    _irreducible,
     classify,
     decompositions,
     is_divergent,
@@ -38,7 +39,7 @@ from patternkit.core import (
     realizes,
     restrict,
 )
-from conftest import all_patterns
+from conftest import all_patterns, biased_pattern
 
 PATTERNS = [p for size in range(1, 6) for p in all_patterns(size)]
 
@@ -187,6 +188,33 @@ def test_join_against_rows_join_seeded_up_to_12():
         p, q = (_coded(n, rng.getrandbits(n * (n - 1) // 2))
                 for n in (rng.randint(1, 12), rng.randint(1, 12)))
         assert join(p, q) == rows_join(p, q), (p, q)
+
+
+def split_by_split_irreducible(rows):
+    # the split criterion one split at a time, as the package tested it
+    # before it took every split from one pass over the rows
+    size = len(rows)
+    for k in range(1, size - 1):
+        G = (1 << size) - (1 << k)
+        if all(r & G in (0, G) for r in rows[:k]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_irreducible_against_split_by_split_every_code(size):
+    for code, rows in enumerate(_rows_by_code(size)):
+        assert _irreducible(rows) == split_by_split_irreducible(rows), (size, code)
+
+
+def test_irreducible_against_split_by_split_seeded_sizes_7_to_12():
+    # biased draws, so that joins (reducible) and dense or sparse codes occur
+    rng, seen = random.Random(712), []
+    for _ in range(10_000):
+        p = biased_pattern(rng, rng.randint(7, 12))
+        seen.append(_irreducible(p.rows))
+        assert seen[-1] == split_by_split_irreducible(p.rows), p
+    assert 2_000 < sum(seen) < 8_000
 
 
 def test_restrict_dual_minus():

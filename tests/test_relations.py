@@ -11,16 +11,21 @@ not dual-invariant, but their sizes are equal.
 
 Heredity: every order-preserving sub-pattern of a one-vertex deletion of p
 is one of p, so each verdict of the deletion implies the same verdict of p.
+
+Avoid-search duality: the p-avoiding subsets of f are exactly the
+dual(p)-avoiding subsets of flip(f), and the search reads colours only
+through realizer tests, so it finds the same maximum subset for both.
 """
 
 import random
 
 import pytest
 
-from patternkit import classifier
+from patternkit import _kernels, classifier
 from patternkit.classifier import ClassificationReport, census, enumerate_patterns
-from patternkit.core import dual, restrict
-from conftest import biased_pattern
+from patternkit.core import dual, flip, restrict
+from patternkit.stabilize import max_avoiding_subset
+from conftest import biased_pattern, random_coloring, random_pattern
 
 # the kinds with the 0-merging bit (2) and the 1-merging bit (4) swapped
 SWAP_MERGING = bytes(kinds & ~6 | (kinds & 2) << 1 | (kinds & 4) >> 1 for kinds in range(256))
@@ -150,3 +155,65 @@ def test_heredity_catches_a_walk_without_vertex_0(monkeypatch):
     tables = classifier._deletion_tables
     monkeypatch.setattr(classifier, "_deletion_tables", lambda size: tables(size)[1:])
     assert heredity_faults(sample(10, 8), 10)
+
+
+# ---------------------------------------------------------------------------
+# avoid-search above the oracle's windows: duality at windows 16-20
+
+
+def avoid_search_instances(seed: int, n: int = 60) -> list:
+    """(f, W, p): a random coloring of a window of 16-20, W most of the
+    window, and a pattern of size 3-5."""
+    rng, out = random.Random(seed), []
+    for _ in range(n):
+        window = rng.randint(16, 20)
+        f = random_coloring(rng, window)
+        W = [x for x in range(window) if rng.random() < 0.9]
+        out.append((f, W, random_pattern(rng, 3, 5)))
+    return out
+
+
+def avoid_search_duality_faults(instances) -> list:
+    return [(f, W, p) for f, W, p in instances
+            if max_avoiding_subset(f, W, p) != max_avoiding_subset(flip(f), W, dual(p))]
+
+
+def test_avoid_search_duality(time_limit):
+    assert avoid_search_duality_faults(avoid_search_instances(12)) == []
+
+
+def test_avoid_search_duality_catches_a_tie_break_on_colours(monkeypatch):
+    # a planted defect: the search tries leaving an element out first when
+    # its colour toward the first element is 1, so among the maximum subsets
+    # it returns one that depends on the colours
+    def planted(rows, elems, prows):
+        if len(prows) == 1:
+            return []
+        n, best, chosen = len(elems), [], []
+
+        def walk(idx):
+            nonlocal best
+            if len(chosen) + n - idx <= len(best):
+                return
+            if idx == n:
+                best = list(chosen)
+                return
+            e = elems[idx]
+            fits = _kernels.lex_least_realizer(rows, chosen, prows, rows[e]) is None
+            for include in ((False, True) if rows[e] >> elems[0] & 1 else (True, False)):
+                if not include:
+                    walk(idx + 1)
+                elif fits:
+                    chosen.append(e)
+                    walk(idx + 1)
+                    chosen.pop()
+
+        walk(0)
+        return best
+
+    instances = avoid_search_instances(12)
+    real = [len(max_avoiding_subset(f, W, p)) for f, W, p in instances]
+    monkeypatch.setattr(_kernels, "max_avoiding_elems", planted)
+    # still a maximum subset each time, so only the relation can tell
+    assert [len(max_avoiding_subset(f, W, p)) for f, W, p in instances] == real
+    assert avoid_search_duality_faults(instances)
