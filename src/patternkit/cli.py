@@ -290,21 +290,20 @@ def cmd_force_eval(args) -> int:
 
     if args.kind == "omega":
         def run(n):
-            return eval_question_omega(f, stem, X, p, phi, n, collect_failure=True)
+            return eval_question_omega(f, stem, X, p, phi, n)
     elif args.kind == "i":
         def run(n):
-            return eval_question_i(f, stem, X, p, phi, n, collect_failure=True)
+            return eval_question_i(f, stem, X, p, phi, n)
     else:  # disjunctive, the last of the parser's choices
         stem1 = _int_list(args.stem1 or "", "--stem1")
         p1 = parse_pattern(args.pattern1) if args.pattern1 else p
         phi1 = catalogue_predicate(args.predicate1, f) if args.predicate1 else phi
 
         def run(n):
-            return eval_question_disjunctive(f, stem, stem1, X, p, p1, phi, phi1,
-                                             n, collect_failure=True)
+            return eval_question_disjunctive(f, stem, stem1, X, p, p1, phi, phi1, n)
 
     if args.least_bound is not None:
-        n = least_bound(lambda nn: run(nn)[0], args.least_bound)
+        n = least_bound(run, args.least_bound)
         rec = {"question": args.kind, "least_bound": n if n is not None else "-"}
         print(pio.emit_record(rec))
         return 0
@@ -467,7 +466,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # the reader left; point stdout at devnull so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

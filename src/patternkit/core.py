@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import total_ordering
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import _kernels
 
@@ -364,6 +364,14 @@ def _check_in_window(f: FiniteColoring, vs: list[int]) -> None:
     """vs, increasing and without repeats, lies in f's window."""
     if vs and (vs[0] < 0 or vs[-1] >= f.window):
         raise PatternError(f"vertices {vs} outside window [0,{f.window})")
+
+
+def _check_below(low: Collection[int], high: Collection[int],
+                 message: str = "stem must lie entirely below the reservoir") -> None:
+    """Every element of low lies below every element of high: a condition's
+    stem below its whole reservoir, or a stabilized E below its F."""
+    if low and high and max(low) >= min(high):
+        raise PatternError(message)
 
 
 def realizes(f: FiniteColoring, F: Iterable[int], p: Pattern) -> bool:

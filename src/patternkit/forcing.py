@@ -17,6 +17,11 @@ memoised, so each rho's coloring-independent half is tested at most once
 however many colorings reach it, and each evaluator is only the quantifier
 over colorings: the first g (in itertools.product order) under which no
 candidate passes the witnessed test is the failure witness.
+
+Every evaluator returns (verdict, failure), as the oracle's questions do:
+(True, None), or False and the failing coloring (a pair of them for the
+i-question).  A stem must lie below the whole reservoir X, not only below
+X ∩ [0, n], by the rule a `stabilize.Condition` keeps (`core._check_below`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import itertools
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernels
-from .core import FiniteColoring, Pattern, PatternError, integer
+from .core import FiniteColoring, Pattern, PatternError, _check_below, integer
 
 MAX_BOUND = 14
 
@@ -52,18 +57,16 @@ def _check_bound(f: FiniteColoring, n: int) -> None:
 def _reservoir(f, n, stems, X) -> list[int]:
     """X ∩ [0, n], sorted, once the bound is checked, X is known to hold no
     negative element, and each (sorted) stem is known to lie in the window
-    and below that reservoir."""
+    and below the whole reservoir."""
     _check_bound(f, n)
     xs = set(X)
     if xs and min(xs) < 0:
         raise PatternError(f"reservoir element {min(xs)} is negative")
-    Xn = sorted(x for x in xs if x <= n)
     for ss in filter(None, stems):
         if min(ss) < 0 or max(ss) >= f.window:
             raise PatternError(f"stem {ss} outside window [0,{f.window})")
-        if Xn and max(ss) >= Xn[0]:
-            raise PatternError("stem must lie entirely below the reservoir")
-    return Xn
+        _check_below(ss, xs)
+    return sorted(x for x in xs if x <= n)
 
 
 def _candidates(f, sigma, Xn, p, phi):
@@ -96,44 +99,43 @@ def _colorings(support: Sequence[int]) -> list[int]:
     return masks
 
 
-def _uncovered(f, Xn, sides) -> Optional[int]:
-    """The first coloring g of Xn that witnesses no candidate rho of any
-    (p.rows, scan) side: in each, the kernel finds a truncation realizer of p
-    that agrees with g on p's last column."""
-    rows = f.rows
-    return next((g for g in _colorings(Xn) if not any(
-        _kernels.lex_least_realizer(rows, rho, prows, g) is None
-        for prows, rhos in sides for rho, _ in rhos())), None)
-
-
-def _result(fail, n, collect_failure):
-    """The verdict, or (verdict, fail padded with zeros to [0, n]); fail is
-    None, a coloring or a pair of colorings."""
-    if not collect_failure:
-        return fail is None
+def _result(fail, n):
+    """(verdict, fail padded with zeros to [0, n]); fail is None, a coloring
+    or a pair of colorings."""
     if fail is None:
         return True, None
     pad = lambda g: {x: g >> x & 1 for x in range(n + 1)}  # noqa: E731
     return False, tuple(map(pad, fail)) if isinstance(fail, tuple) else pad(fail)
 
 
+def _sides(f, X, n, sides):
+    """(verdict, failure) of the question with the given (sigma, p, phi)
+    sides: the failure is the first coloring g of X ∩ [0, n] that witnesses
+    no candidate rho of any side, in each of which the kernel finds a
+    truncation realizer of p that agrees with g on p's last column."""
+    stems = [sorted(sigma) for sigma, _, _ in sides]
+    Xn = _reservoir(f, n, stems, X)
+    scans = [(p.rows, _candidates(f, ss, Xn, p, phi))
+             for ss, (_, p, phi) in zip(stems, sides)]
+    rows = f.rows
+    fail = next((g for g in _colorings(Xn) if not any(
+        _kernels.lex_least_realizer(rows, rho, prows, g) is None
+        for prows, rhos in scans for rho, _ in rhos())), None)
+    return _result(fail, n)
+
+
 def eval_question_omega(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
-                        p: Pattern, phi: BoundedPredicate, n: int,
-                        collect_failure: bool = False):
-    """True when every coloring of X∩[0,n] admits a witnessed-avoiding rho
-    making phi fire; with collect_failure, return (verdict, failing coloring
-    on [0,n] or None) instead of a bare boolean."""
-    ss = sorted(sigma)
-    Xn = _reservoir(f, n, [ss], X)
-    sides = [(p.rows, _candidates(f, ss, Xn, p, phi))]
-    return _result(_uncovered(f, Xn, sides), n, collect_failure)
+                        p: Pattern, phi: BoundedPredicate, n: int):
+    """(verdict, failure): whether every coloring of X∩[0,n] admits a
+    witnessed-avoiding rho making phi fire, and if not the first coloring
+    that does not, on [0,n].  The disjunctive question with one side."""
+    return _sides(f, X, n, [(sigma, p, phi)])
 
 
 def eval_question_i(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
-                    p: Pattern, phi: BoundedPredicate, n: int,
-                    collect_failure: bool = False):
+                    p: Pattern, phi: BoundedPredicate, n: int):
     """As eval_question_omega but universally over pairs (h0, h1) and with rho
-    required homogeneous for both."""
+    required homogeneous for both; the failure is a pair."""
     ss = sorted(sigma)
     Xn = _reservoir(f, n, [ss], X)
     rhos = _candidates(f, ss, Xn, p, phi)
@@ -142,32 +144,29 @@ def eval_question_i(f: FiniteColoring, sigma: Iterable[int], X: Iterable[int],
         h0 & m in (0, m) and h1 & m in (0, m)
         and _kernels.lex_least_realizer(rows, rho, prows, h0) is None
         for rho, m in rhos())), None)
-    return _result(fail, n, collect_failure)
+    return _result(fail, n)
 
 
 def eval_question_disjunctive(f: FiniteColoring, sigma0: Iterable[int],
                               sigma1: Iterable[int], X: Iterable[int],
                               p0: Pattern, p1: Pattern,
                               phi0: BoundedPredicate, phi1: BoundedPredicate,
-                              n: int, collect_failure: bool = False):
-    """For every coloring h there must be a side i and a rho ⊆ X avoiding p_i
-    with witness h such that phi_i(sigma_i ∪ rho) fires; the side may vary
-    with h."""
-    ss0, ss1 = sorted(sigma0), sorted(sigma1)
-    Xn = _reservoir(f, n, [ss0, ss1], X)
-    sides = [(p0.rows, _candidates(f, ss0, Xn, p0, phi0)),
-             (p1.rows, _candidates(f, ss1, Xn, p1, phi1))]
-    return _result(_uncovered(f, Xn, sides), n, collect_failure)
+                              n: int):
+    """(verdict, failure): for every coloring h there must be a side i and a
+    rho ⊆ X avoiding p_i with witness h such that phi_i(sigma_i ∪ rho)
+    fires; the side may vary with h."""
+    return _sides(f, X, n, [(sigma0, p0, phi0), (sigma1, p1, phi1)])
 
 
-def least_bound(evaluate: Callable[[int], bool], cap: int) -> Optional[int]:
-    """Least n <= cap at which the evaluator returns true, if any."""
+def least_bound(evaluate: Callable[[int], tuple], cap: int) -> Optional[int]:
+    """Least n <= cap at which the evaluator's (verdict, failure) is true, if
+    any."""
     if cap < 0:
         raise PatternError("cap must be nonnegative")
     if cap > MAX_BOUND:
         raise PatternError(f"cap {cap} exceeds the hard cap {MAX_BOUND}")
     for n in range(cap + 1):
-        if evaluate(n):
+        if evaluate(n)[0]:
             return n
     return None
 

@@ -391,11 +391,13 @@ def _from_helpers(chosen: list[str], seed: int, count: int,
                   helpers: int) -> dict[int, tuple]:
     """The results the forked helpers report: each claims suites from one
     shared queue and sends back the marshalled {index: result} it finished.
-    The parent runs no suite here, so which process runs which suite
-    depends on timing only among the helpers.  Every helper is reaped
-    before this returns or raises."""
+    The queue holds the suites last-first, so the sampled suites at the end
+    of SUITES, the longest, are claimed before the short sweeps.  The parent
+    runs no suite here, so which process runs which suite depends on timing
+    only among the helpers.  Every helper is reaped before this returns or
+    raises."""
     pids, pipes, done = [], [], {}
-    queue = _queue(list(range(len(chosen))))
+    queue = _queue(list(range(len(chosen)))[::-1])
     try:
         for _ in range(helpers):
             r, w = os.pipe()

@@ -17,6 +17,7 @@ from .core import (
     PartialColoring,
     Pattern,
     PatternError,
+    _check_below,
     _check_in_window,
     _check_window_subset,
     _Record,
@@ -39,8 +40,7 @@ def stabilizes(f: FiniteColoring, E: Iterable[int], F: Iterable[int],
     es, fs = sorted(E), sorted(F)
     if not g.defined_on(es):
         raise PatternError("stabilization witness must be defined on all of E")
-    if es and fs and es[-1] >= fs[0]:
-        raise PatternError("E must lie entirely below F")
+    _check_below(es, fs, "E must lie entirely below F")
     return all(f(x, y) == g(x) for x in es for y in fs)
 
 
@@ -68,8 +68,7 @@ def find_stabilizing_tail(f: FiniteColoring, E: Iterable[int],
     broken by the least vector.
     """
     es, xs = sorted(set(E)), sorted(set(X))
-    if es and xs and es[-1] >= xs[0]:
-        raise PatternError("E must lie entirely below X")
+    _check_below(es, xs, "E must lie entirely below X")
     if not es:
         return frozenset(xs), PartialColoring({})
     classes: dict[tuple[int, ...], list[int]] = {}
@@ -95,8 +94,7 @@ class Condition(_Record):
 
     def __init__(self, stem: frozenset[int], reservoir: frozenset[int],
                  witness: PartialColoring):
-        if stem and reservoir and max(stem) >= min(reservoir):
-            raise PatternError("reservoir must lie entirely above the stem")
+        _check_below(stem, reservoir)
         if not witness.defined_on(stem):
             raise PatternError("witness must be defined on the stem")
         object.__setattr__(self, "stem", stem)

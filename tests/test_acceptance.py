@@ -260,20 +260,17 @@ def test_16_forcing_monotone_in_bound_with_checkable_failures():
             # replay: a reported failing coloring truly admits no witnessed rho
             Xn = [x for x in X if x <= n]
             if kind == "omega":
-                verdict, fail = eval_question_omega(f, [], X, p, phi, n,
-                                                    collect_failure=True)
+                verdict, fail = eval_question_omega(f, [], X, p, phi, n)
                 if not verdict:
                     assert not oracle.some_witnessed(f, [], Xn, p, phi, PartialColoring(fail))
             elif kind == "i":
-                verdict, fail = eval_question_i(f, [], X, p, phi, n,
-                                                collect_failure=True)
+                verdict, fail = eval_question_i(f, [], X, p, phi, n)
                 if not verdict:
                     h0, h1 = (PartialColoring(h) for h in fail)
                     assert not oracle.some_witnessed(f, [], Xn, p, phi, h0, (h0, h1))
             else:
                 verdict, fail = eval_question_disjunctive(
-                    f, [], [], X, p, dual(p), phi, phi, n,
-                    collect_failure=True)
+                    f, [], [], X, p, dual(p), phi, phi, n)
                 if not verdict:
                     g = PartialColoring(fail)
                     assert not any(oracle.some_witnessed(f, [], Xn, q, phi, g)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -475,6 +476,19 @@ class TestInputErrors:
                                      "--suites", suites)
         assert f"suite {name!r} named twice" in err
 
+    @pytest.mark.parametrize("limit", [("--bound", "4"), ("--bound", "7"),
+                                       ("--least-bound", "9")])
+    @pytest.mark.parametrize("kind", ["omega", "i", "disjunctive"])
+    def test_stem_below_the_whole_reservoir(self, capsys, tmp_path, kind, limit):
+        # below bound 6 the reservoir's part in [0, n] is empty, and a check
+        # against that part alone let stem 7 through: omega printed verdict:1
+        # at --bound 4 and least_bound:0 under --least-bound 9
+        path = tmp_path / "c10.txt"
+        path.write_text(format_coloring(random_coloring(random.Random(0), 10)))
+        err = self.assert_user_error(capsys, "force-eval", kind, str(path), "3:010", "true",
+                                     "--stem", "7", "--reservoir", "6,8", *limit)
+        assert err == "error: stem must lie entirely below the reservoir\n"
+
     def test_negative_reservoir_element(self, capsys, coloring_file):
         err = self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
                                      "2:0", "size>=2", "--reservoir=-3,1,2",
@@ -667,18 +681,42 @@ class TestDeterminism:
 
 class TestClosedStdout:
     def test_reader_leaving_early_is_quiet(self):
-        # census 5 prints more than a pipe buffer holds, so a write fails
+        # census 6 prints more than a pipe buffer holds, so a write fails
         # once the reader has closed its end
         env = {**os.environ, "PYTHONPATH": str(Path(patternkit.__file__).parents[1])}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "patternkit.cli", "census", "5", "--format", "records"],
+            [sys.executable, "-m", "patternkit.cli", "census", "6", "--format", "records"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline().startswith(b"pattern:5:")
+        assert proc.stdout.readline().startswith(b"pattern:6:")
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait() == 1
         assert err == b""
+
+    def test_in_process(self, monkeypatch, capsys):
+        # main itself: stdout a pipe whose reader has left, so the first
+        # write raises BrokenPipeError, and the handler points the pipe's
+        # descriptor, not this process's stdout, at devnull, and leaves no
+        # descriptor of its own open
+        r, w = os.pipe()
+        os.close(r)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with open(w, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["census", "4", "--format", "records"]) == 1
+            assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert capsys.readouterr().err == ""
+
+
+def test_stdout_without_a_byte_layer(monkeypatch, capsys):
+    # io.StringIO has no buffer to write through: _write_out hands it the text
+    _, expected, _ = run_cli(capsys, "census", "3")
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["census", "3"]) == 0
+    assert out.getvalue() == expected
 
 
 class TestReaderLeavingMidWrite:

@@ -21,6 +21,7 @@ from patternkit.forcing import (
 from conftest import random_coloring
 
 P = parse_pattern("3:010")
+STEM_BELOW = "^stem must lie entirely below the reservoir$"
 
 
 class TestPredicates:
@@ -79,24 +80,23 @@ class TestPredicates:
 class TestOmegaQuestion:
     def test_false_predicate(self):
         f = constant_coloring(10)
-        assert not eval_question_omega(f, [], range(1, 8), P, pred_false(), 6)
+        assert not eval_question_omega(f, [], range(1, 8), P, pred_false(), 6)[0]
 
     def test_true_predicate_with_empty_rho(self):
         f = constant_coloring(10)
-        assert eval_question_omega(f, [], range(1, 8), P, pred_true(), 6)
+        assert eval_question_omega(f, [], range(1, 8), P, pred_true(), 6) == (True, None)
 
     def test_two_element_witness_always_available(self):
         # any vertex coloring of three elements leaves a pair that is not
         # (1, 0)-colored, and such pairs are witnessed truncation blockers
         f = constant_coloring(10)
         phi = pred_size_at_least(2)
-        assert eval_question_omega(f, [], range(1, 9), P, phi, 3)
+        assert eval_question_omega(f, [], range(1, 9), P, phi, 3) == (True, None)
 
     def test_failure_coloring_is_checkable(self):
         f = constant_coloring(12)
         phi = pred_size_at_least(40)
-        verdict, fail = eval_question_omega(f, [], range(1, 9), P, phi, 8,
-                                            collect_failure=True)
+        verdict, fail = eval_question_omega(f, [], range(1, 9), P, phi, 8)
         assert not verdict
         assert set(fail) == set(range(9))
         # replay: the reported coloring really admits no witnessed subset
@@ -104,7 +104,7 @@ class TestOmegaQuestion:
 
     def test_stem_must_be_below_reservoir(self):
         f = constant_coloring(10)
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match=STEM_BELOW):
             eval_question_omega(f, [5], range(1, 8), P, pred_true(), 6)
 
     def test_bound_capped(self):
@@ -118,17 +118,16 @@ class TestOmegaQuestion:
 class TestIQuestion:
     def test_true_predicate(self):
         f = constant_coloring(10)
-        assert eval_question_i(f, [], range(1, 6), P, pred_true(), 5)
+        assert eval_question_i(f, [], range(1, 6), P, pred_true(), 5) == (True, None)
 
     def test_singleton_reservoir(self):
         f = constant_coloring(10)
         phi = pred_size_at_least(1)
-        assert eval_question_i(f, [], [3], P, phi, 5)
+        assert eval_question_i(f, [], [3], P, phi, 5) == (True, None)
 
     def test_false_predicate_failure_pair(self):
         f = constant_coloring(10)
-        verdict, fail = eval_question_i(f, [], range(1, 5), P, pred_false(), 4,
-                                        collect_failure=True)
+        verdict, fail = eval_question_i(f, [], range(1, 5), P, pred_false(), 4)
         assert not verdict
         h0, h1 = fail
         assert set(h0) == set(h1) == set(range(5))
@@ -137,19 +136,19 @@ class TestIQuestion:
         # 4(k-1)+1 elements guarantee a k-subset on which both colorings agree
         f = constant_coloring(12)
         phi = pred_size_at_least(2)
-        assert eval_question_i(f, [], range(1, 6), P, phi, 5)
+        assert eval_question_i(f, [], range(1, 6), P, phi, 5) == (True, None)
 
 
 class TestDisjunctiveQuestion:
     def test_true_side_suffices(self):
         f = constant_coloring(10)
         assert eval_question_disjunctive(f, [], [], range(1, 6), P, P,
-                                         pred_true(), pred_false(), 5)
+                                         pred_true(), pred_false(), 5) == (True, None)
 
     def test_both_false(self):
         f = constant_coloring(10)
         assert not eval_question_disjunctive(f, [], [], range(1, 6), P, P,
-                                             pred_false(), pred_false(), 5)
+                                             pred_false(), pred_false(), 5)[0]
 
     def test_side_must_vary_with_coloring(self):
         # side 0 wants rho={1} with g(1)=1, side 1 wants rho={1} with g(1)=0;
@@ -158,15 +157,14 @@ class TestDisjunctiveQuestion:
         p0, p1 = parse_pattern("2:0"), parse_pattern("2:1")
         phi = pred_contains(1)
         X = [1, 2]
-        assert eval_question_disjunctive(f, [], [], X, p0, p1, phi, phi, 2)
-        assert not eval_question_omega(f, [], X, p0, phi, 2)
-        assert not eval_question_omega(f, [], X, p1, phi, 2)
+        assert eval_question_disjunctive(f, [], [], X, p0, p1, phi, phi, 2) == (True, None)
+        assert not eval_question_omega(f, [], X, p0, phi, 2)[0]
+        assert not eval_question_omega(f, [], X, p1, phi, 2)[0]
 
     def test_failure_coloring_returned(self):
         f = constant_coloring(10)
         verdict, fail = eval_question_disjunctive(
-            f, [], [], range(1, 6), P, P, pred_false(), pred_false(), 5,
-            collect_failure=True)
+            f, [], [], range(1, 6), P, P, pred_false(), pred_false(), 5)
         assert not verdict and set(fail) == set(range(6))
 
 
@@ -183,6 +181,24 @@ class TestStemChecks:
         ):
             with pytest.raises(PatternError, match="outside window"):
                 evaluate()
+
+
+    def test_stem_below_the_whole_reservoir(self):
+        # stem {7} and reservoir {6, 8}: below bound 6 the reservoir's part in
+        # [0, n] is empty, and a check against that part alone let the stem
+        # through (verdict 1 at bound 4, least bound 0 under cap 9)
+        f = random_coloring(random.Random(0), 10)
+        for evaluate in (
+            lambda n: eval_question_omega(f, [7], [6, 8], P, pred_true(), n),
+            lambda n: eval_question_i(f, [7], [6, 8], P, pred_true(), n),
+            lambda n: eval_question_disjunctive(f, [], [7], [6, 8], P, P,
+                                                pred_true(), pred_true(), n),
+        ):
+            for n in range(10):
+                with pytest.raises(PatternError, match=STEM_BELOW):
+                    evaluate(n)
+            with pytest.raises(PatternError, match=STEM_BELOW):
+                least_bound(evaluate, 9)
 
 
 class TestReservoirChecks:
@@ -213,10 +229,10 @@ class TestRepeatedReservoirVertices:
             p = parse_pattern(rng.choice(["2:0", "2:1", "3:010"]))
             for phi in (pred_size_at_least(2), pred_homogeneous(f, 0)):
                 for evaluate in (
-                    lambda R: eval_question_omega(f, [0], R, p, phi, 7, True),
-                    lambda R: eval_question_i(f, [0], R, p, phi, 7, True),
+                    lambda R: eval_question_omega(f, [0], R, p, phi, 7),
+                    lambda R: eval_question_i(f, [0], R, p, phi, 7),
                     lambda R: eval_question_disjunctive(f, [0], [0], R, p, p, phi, phi,
-                                                        7, True),
+                                                        7),
                 ):
                     assert evaluate(Xd) == evaluate(X)
 
@@ -259,7 +275,7 @@ class TestMonotonicity:
             phi = pred_size_at_least(rng.randint(1, 3))
             seen_true = False
             for n in range(13):
-                v = eval_question_omega(f, [], X, P, phi, min(n, 12))
+                v, _ = eval_question_omega(f, [], X, P, phi, min(n, 12))
                 if seen_true:
                     assert v
                 seen_true = seen_true or v

@@ -28,22 +28,17 @@ PREDICATES = ("false", "true", "size>=2", "size>=3", "contains:2",
               "homogeneous:0", "homogeneous:1")
 
 
-def check_instance(f, stem, X, n, n_small, side0, side1, bare=True):
-    """Compare all three evaluators with the oracle, with collect_failure and
-    (if bare) without.  The i- and disjunctive questions run at the bound
-    n_small <= n, which keeps the i-question's 4^k coloring pairs cheap."""
-    def assert_same(evaluate, expected):
-        assert evaluate(collect_failure=True) == expected
-        assert not bare or evaluate() == expected[0]
-
+def check_instance(f, stem, X, n, n_small, side0, side1):
+    """Compare each evaluator's (verdict, failure) with the oracle's.  The i-
+    and disjunctive questions run at the bound n_small <= n, which keeps the
+    i-question's 4^k coloring pairs cheap."""
     (p0, phi0), (p1, phi1) = side0, side1
-    assert_same(lambda **kw: eval_question_omega(f, stem, X, p0, phi0, n, **kw),
-                oracle.question_omega(f, stem, X, p0, phi0, n))
-    assert_same(lambda **kw: eval_question_i(f, stem, X, p0, phi0, n_small, **kw),
-                oracle.question_i(f, stem, X, p0, phi0, n_small))
-    assert_same(lambda **kw: eval_question_disjunctive(f, stem, stem, X, p0, p1,
-                                                       phi0, phi1, n_small, **kw),
-                oracle.question_disjunctive(f, stem, stem, X, p0, p1, phi0, phi1, n_small))
+    assert (eval_question_omega(f, stem, X, p0, phi0, n)
+            == oracle.question_omega(f, stem, X, p0, phi0, n))
+    assert (eval_question_i(f, stem, X, p0, phi0, n_small)
+            == oracle.question_i(f, stem, X, p0, phi0, n_small))
+    assert (eval_question_disjunctive(f, stem, stem, X, p0, p1, phi0, phi1, n_small)
+            == oracle.question_disjunctive(f, stem, stem, X, p0, p1, phi0, phi1, n_small))
 
 
 def random_predicate(rng, window):
@@ -65,7 +60,7 @@ def test_exhaustive_window4(stem):
             for j, phi in enumerate(phis):
                 other = (patterns[(i + 1) % len(patterns)], phis[(j + 3) % len(phis)])
                 check_instance(f, stem, range(1, window), window - 1, window - 2,
-                               (p, phi), other, bare=False)
+                               (p, phi), other)
 
 
 @pytest.mark.parametrize("seed", range(4))

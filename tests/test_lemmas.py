@@ -204,6 +204,35 @@ class TestHelpers:
         monkeypatch.setattr(marshal, "dumps", lambda value: real(value)[:-1])
         assert run_suites(seed=11, count=20) == in_process(11, 20)
 
+    @pytest.fixture
+    def queued(self, monkeypatch):
+        """The index lists run_suites hands to _queue, in call order."""
+        calls, real = [], lemmas._queue
+
+        def record(indices):
+            calls.append(indices)
+            return real(indices)
+
+        monkeypatch.setattr(lemmas, "_queue", record)
+        return calls
+
+    def test_helpers_claim_last_first(self, forked, queued):
+        # the helpers' queue holds the suites in reverse, so the sampled
+        # suites at the end are claimed first; the parent then queues what
+        # no helper reported, here nothing
+        names = ["duality", "join-divergence", "avoidance-union"]
+        assert run_suites(seed=1, count=20, names=names) == in_process(1, 20, names)
+        assert queued == [[2, 1, 0], []]
+        queued.clear()
+        assert run_suites(seed=1, count=20) == in_process(1, 20)
+        assert queued == [list(range(8, -1, -1)), []]
+
+    def test_parent_reruns_in_suite_order(self, forked, queued, monkeypatch):
+        # every report lost: the parent runs all nine itself, in suite order
+        monkeypatch.setattr(marshal, "loads", lambda data: {})
+        assert run_suites(seed=1, count=20) == in_process(1, 20)
+        assert queued == [list(range(8, -1, -1)), list(range(9))]
+
     def test_parent_exception_kills_and_reaps_every_helper(self, forked, monkeypatch):
         # the parent fails on the first report, with a helper that may still
         # be running a suite: the helpers are killed, then reaped

@@ -21,9 +21,10 @@ import random
 
 import pytest
 
-from patternkit import _kernels, classifier
+from patternkit import _kernels, classifier, forcing, oracle
 from patternkit.classifier import ClassificationReport, census, enumerate_patterns
-from patternkit.core import dual, flip, restrict
+from patternkit.core import PartialColoring, dual, flip, restrict
+from patternkit.forcing import catalogue_predicate
 from patternkit.stabilize import max_avoiding_subset
 from conftest import biased_pattern, random_coloring, random_pattern
 
@@ -217,3 +218,96 @@ def test_avoid_search_duality_catches_a_tie_break_on_colours(monkeypatch):
     # still a maximum subset each time, so only the relation can tell
     assert [len(max_avoiding_subset(f, W, p)) for f, W, p in instances] == real
     assert avoid_search_duality_faults(instances)
+
+
+# ---------------------------------------------------------------------------
+# forcing above the oracle's windows: duality at bounds up to 14
+#
+# flip(f) and dual(p) have the same avoiding sets, and a colouring g
+# witnesses rho for p in f exactly when its complement does for dual(p) in
+# flip(f), since the colours toward the virtual top vertex flip with p's last
+# column.  Complementing is a bijection on colourings (and on pairs of them,
+# keeping homogeneity), so each question has the same verdict on both sides,
+# with homogeneous:C read as homogeneous:1-C.  The failing colourings are the
+# first uncovered ones, which complementing does not keep, so each is replayed.
+
+
+def dual_spec(spec: str) -> str:
+    if not spec.startswith("homogeneous:"):
+        return spec
+    _, colour, *rest = spec.split(":")
+    return ":".join(["homogeneous", str(1 - int(colour)), *rest])
+
+
+def forcing_instances(seed: int, n: int = 300) -> list:
+    """(kind, f, X, bound, sides): a random coloring of window 16, a bound
+    of 8-14, and a reservoir with at most 9 elements up to the bound (6 for
+    the i-question) above one or two (stem, pattern of size 3-4, predicate)
+    sides, two for the disjunctive question."""
+    rng, out = random.Random(seed), []
+    for i in range(n):
+        kind = ("omega", "i", "disjunctive")[i % 3]
+        f = random_coloring(rng, 16)
+        stem = sorted(rng.sample(range(3), rng.randint(0, 2)))
+        X = sorted(rng.sample(range(3, 16), rng.randint(4, 6 if kind == "i" else 9)))
+        sides = [(stem if rng.random() < 0.5 else [], random_pattern(rng, 2, 4),
+                  rng.choice(("true", "false", f"size>={rng.randint(2, 4)}",
+                              f"contains:{rng.choice(X[:2])}", f"contains:{rng.randrange(3)}",
+                              f"homogeneous:{rng.randint(0, 1)}",
+                              f"homogeneous:{rng.randint(0, 1)}:3")))
+                 for _ in range(2 if kind == "disjunctive" else 1)]
+        out.append((kind, f, X, rng.randint(8, 14), sides))
+    return out
+
+
+def forcing_answer(kind, f, X, bound, sides):
+    """The evaluator's (verdict, failure), and whether each failing coloring
+    replays: oracle.some_witnessed finds no rho for it on any side."""
+    sides = [(stem, p, catalogue_predicate(spec, f)) for stem, p, spec in sides]
+    Xn = [x for x in X if x <= bound]
+    if kind == "i":
+        (stem, p, phi), = sides
+        verdict, fail = forcing.eval_question_i(f, stem, X, p, phi, bound)
+        replays = verdict or not oracle.some_witnessed(
+            f, stem, Xn, p, phi, PartialColoring(fail[0]), [PartialColoring(h) for h in fail])
+    else:
+        if kind == "omega":
+            (stem, p, phi), = sides
+            verdict, fail = forcing.eval_question_omega(f, stem, X, p, phi, bound)
+        else:
+            (s0, p0, phi0), (s1, p1, phi1) = sides
+            verdict, fail = forcing.eval_question_disjunctive(
+                f, s0, s1, X, p0, p1, phi0, phi1, bound)
+        replays = verdict or not any(
+            oracle.some_witnessed(f, stem, Xn, p, phi, PartialColoring(fail))
+            for stem, p, phi in sides)
+    return verdict, replays
+
+
+def forcing_duality_faults(instances) -> list:
+    faults = []
+    for kind, f, X, bound, sides in instances:
+        dual_sides = [(stem, dual(p), dual_spec(spec)) for stem, p, spec in sides]
+        (v, ok), (dv, dok) = (forcing_answer(kind, f, X, bound, sides),
+                              forcing_answer(kind, flip(f), X, bound, dual_sides))
+        if v != dv or not (ok and dok):
+            faults.append((kind, f, X, bound, sides))
+    return faults
+
+
+def test_forcing_duality(time_limit):
+    instances = forcing_instances(13)
+    # both verdicts occur for each question
+    assert {(kind, forcing_answer(kind, f, X, bound, sides)[0])
+            for kind, f, X, bound, sides in instances} == {
+        (kind, v) for kind in ("omega", "i", "disjunctive") for v in (True, False)}
+    assert forcing_duality_faults(instances) == []
+
+
+def test_forcing_duality_catches_colorings_dropped(monkeypatch, time_limit):
+    # a planted defect: the questions quantify only over the colorings that
+    # give the least reservoir element colour 0
+    real = forcing._colorings
+    monkeypatch.setattr(forcing, "_colorings", lambda support: [
+        g for g in real(support) if not (support and g >> support[0] & 1)])
+    assert forcing_duality_faults(forcing_instances(13))

@@ -125,6 +125,10 @@ class TestWitnessedAvoidance:
 
 
 class TestStabilizingTail:
+    def test_requires_e_below_x(self):
+        with pytest.raises(PatternError, match="^E must lie entirely below X$"):
+            find_stabilizing_tail(constant_coloring(8), [5], [3])
+
     def test_constant_coloring_full_tail(self):
         f = constant_coloring(8)
         tail, g = find_stabilizing_tail(f, [0, 1], range(2, 8))
@@ -167,8 +171,26 @@ class TestConditions:
         assert is_valid_condition(f, c, p)
 
     def test_reservoir_above_stem_enforced(self):
-        with pytest.raises(PatternError):
+        # the rule and the message force-eval's evaluators use
+        with pytest.raises(PatternError, match="^stem must lie entirely below the reservoir$"):
             Condition(frozenset({3}), frozenset({2, 5}), PartialColoring({3: 0}))
+
+    def test_witness_defined_on_the_stem(self):
+        with pytest.raises(PatternError, match="^witness must be defined on the stem$"):
+            Condition(frozenset({0, 1}), frozenset({3}), PartialColoring({0: 0}))
+
+    def test_extension_needs_x_in_the_reservoir(self):
+        c = Condition(frozenset(), frozenset({2, 5}), PartialColoring({}))
+        with pytest.raises(PatternError, match="^3 is not in the reservoir$"):
+            extend_condition(constant_coloring(8), c, 3, parse_pattern("3:010"))
+
+    def test_extension_of_an_invalid_condition(self):
+        # the stem {0, 1, 2} realizes 3:010, so no extension of it is valid
+        f = coloring_from_function(12, lambda x, y: int((x, y) == (0, 2)))
+        c = Condition(frozenset({0, 1, 2}), frozenset(range(3, 12)),
+                      PartialColoring({0: 0, 1: 0, 2: 0}))
+        with pytest.raises(PatternError, match="^extension produced an invalid condition$"):
+            extend_condition(f, c, 3, parse_pattern("3:010"))
 
     def test_extension_moves_element(self):
         f = constant_coloring(8)
@@ -308,6 +330,14 @@ class TestTrees:
     def test_tree_must_be_prefix_closed(self):
         with pytest.raises(PatternError):
             BinaryTree(frozenset({"", "01"}))
+
+    def test_nodes_are_binary_strings(self):
+        with pytest.raises(PatternError, match="^node '2' is not a binary string$"):
+            BinaryTree(frozenset({"", "2"}))
+
+    def test_leftmost_of_an_empty_level(self):
+        with pytest.raises(PatternError, match="^tree has no node at level 1$"):
+            BinaryTree(frozenset({""})).leftmost(1)
 
     def test_full_tree_shape(self):
         t = full_binary_tree(3)
