@@ -16,15 +16,15 @@ import importlib
 # exports, read by __getattr__, __dir__ and __all__
 _EXPORTS = {
     "core": (
-        "Embedding", "FiniteColoring", "PartialColoring", "Pattern", "PatternError",
+        "FiniteColoring", "PartialColoring", "Pattern", "PatternError",
         "StableColoring", "avoids", "coloring_from_function", "constant_coloring",
-        "dual", "embeddings", "find_realizer", "flip", "format_pattern",
-        "is_subpattern", "minus", "parse_pattern", "pattern_from_colors",
-        "realizes", "restrict", "strongly_appears", "strongly_realizes",
+        "dual", "find_realizer", "flip", "format_pattern", "is_subpattern", "minus",
+        "parse_pattern", "pattern_from_colors", "realizes", "restrict",
+        "strongly_appears", "strongly_realizes",
     ),
     "algebra": (
         "ClassificationFlags", "classify", "decompositions", "is_divergent",
-        "is_i_merging", "is_irreducible", "is_merging", "join",
+        "is_i_merging", "is_irreducible", "join",
     ),
     "classifier": (
         "CensusRow", "ClassificationReport", "census", "enumerate_patterns",

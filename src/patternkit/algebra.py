@@ -120,23 +120,11 @@ def is_i_merging(p: Pattern, i: int) -> bool:
     return _i_merging(p.rows, i)
 
 
-def is_merging(p: Pattern) -> bool:
-    return is_i_merging(p, 0) and is_i_merging(p, 1)
-
-
 class ClassificationFlags(NamedTuple):
     divergent: bool
     irreducible: bool
     merging0: bool
     merging1: bool
-
-    @property
-    def convergent(self) -> bool:
-        return not self.divergent
-
-    @property
-    def reducible(self) -> bool:
-        return not self.irreducible
 
     @property
     def merging(self) -> bool:

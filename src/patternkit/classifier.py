@@ -43,9 +43,10 @@ from .algebra import (ClassificationFlags, _divergent, _flags, _i_merging, _irre
 
 # The enumeration guard: C(l,2) <= 28, i.e. l <= 8.  A census of size l holds
 # the kind table of size l-1 (2 MB at l = 8) and streams 2^C(l,2) rows.  Cold
-# on a 2-core host with Python 3.11, `census 7 --format records` took 17-24 s
-# at 17 MB; `census 8` gave its first 2^21 records in 11.6 s at 18 MB and was
-# not run to the end of its 2^28.
+# on a 2-core host with Python 3.11, `census 7 --format records`, its stdout
+# read and hashed, took 11.9-12.4 s at a peak RSS of 17-19 MB (three runs);
+# `census 8` gave its first 2^21 records in 11.6 s at 18 MB and was not run
+# to the end of its 2^28.
 MAX_PAIR_BITS = 28
 
 

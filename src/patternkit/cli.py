@@ -303,7 +303,7 @@ def cmd_force_eval(args) -> int:
             return eval_question_disjunctive(f, stem, stem1, X, p, p1, phi, phi1, n)
 
     if args.least_bound is not None:
-        n = least_bound(run, args.least_bound)
+        n = least_bound(run, args.least_bound, f.window)
         rec = {"question": args.kind, "least_bound": n if n is not None else "-"}
         print(pio.emit_record(rec))
         return 0

@@ -299,10 +299,6 @@ class StableColoring(_Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "limit", limit)
 
-    def limit_class(self, color: int) -> list[int]:
-        """Vertices whose declared limit is the given color."""
-        return [x for x, c in enumerate(self.limit) if c == color]
-
 
 class PartialColoring(_Record):
     """A partial vertex 2-coloring, used as a stabilization witness."""
@@ -337,17 +333,6 @@ class PartialColoring(_Record):
 
     def __eq__(self, other):
         return isinstance(other, PartialColoring) and self.assignments == other.assignments
-
-
-class Embedding(_Record):
-    """An injective vertex map witnessing a sub-pattern occurrence."""
-
-    __slots__ = _fields = ("map",)
-
-    def __init__(self, map: tuple[int, ...]):
-        if len(set(map)) != len(map):
-            raise PatternError("embedding entries must be pairwise distinct")
-        object.__setattr__(self, "map", map)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +388,10 @@ def vertex_maps(k: int, n: int, mode: str) -> Iterable[tuple[int, ...]]:
     raise PatternError(f"unknown embedding mode {mode!r}")
 
 
-def _embeds(q: Pattern, p: Pattern, g: Sequence[int]) -> bool:
-    return _gather(p.rows, g) == q.code
-
-
-def embeddings(q: Pattern, p: Pattern, mode: str = "injective") -> list[Embedding]:
-    """All maps g with q(x,y) = p(g(x),g(y)); monotone mode keeps increasing g only."""
-    return [Embedding(g) for g in vertex_maps(q.size, p.size, mode) if _embeds(q, p, g)]
-
-
 def is_subpattern(q: Pattern, p: Pattern, mode: str = "injective") -> bool:
-    return any(_embeds(q, p, g) for g in vertex_maps(q.size, p.size, mode))
+    """Some map g of vertex_maps has q(x,y) = p(g(x),g(y)) for every pair."""
+    rows = p.rows
+    return any(_gather(rows, g) == q.code for g in vertex_maps(q.size, p.size, mode))
 
 
 def strongly_realizes(sc: StableColoring, F: Iterable[int], p: Pattern) -> bool:

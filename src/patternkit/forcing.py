@@ -45,23 +45,27 @@ class BoundedPredicate(NamedTuple):
         return self.fn(frozenset(F))
 
 
-def _check_bound(f: FiniteColoring, n: int) -> None:
+def _check_bound(window: int, n: int, what: str = "bound") -> None:
+    """n is a bound, or what names it, that a coloring of the window can
+    answer: nonnegative, inside [0, window) and at most MAX_BOUND."""
     if n < 0:
-        raise PatternError("bound must be nonnegative")
-    if n >= f.window:
-        raise PatternError(f"bound {n} exceeds window [0,{f.window})")
+        raise PatternError(f"{what} must be nonnegative")
+    if n >= window:
+        raise PatternError(f"{what} {n} exceeds window [0,{window})")
     if n > MAX_BOUND:
-        raise PatternError(f"bound {n} exceeds the hard cap {MAX_BOUND}")
+        raise PatternError(f"{what} {n} exceeds the hard cap {MAX_BOUND}")
 
 
 def _reservoir(f, n, stems, X) -> list[int]:
-    """X ∩ [0, n], sorted, once the bound is checked, X is known to hold no
-    negative element, and each (sorted) stem is known to lie in the window
-    and below the whole reservoir."""
-    _check_bound(f, n)
+    """X ∩ [0, n], sorted, once the bound is checked, X and each (sorted)
+    stem are known to lie in the window, and each stem below the whole
+    reservoir."""
+    _check_bound(f.window, n)
     xs = set(X)
     if xs and min(xs) < 0:
         raise PatternError(f"reservoir element {min(xs)} is negative")
+    if xs and max(xs) >= f.window:
+        raise PatternError(f"reservoir element {max(xs)} outside window [0,{f.window})")
     for ss in filter(None, stems):
         if min(ss) < 0 or max(ss) >= f.window:
             raise PatternError(f"stem {ss} outside window [0,{f.window})")
@@ -158,13 +162,12 @@ def eval_question_disjunctive(f: FiniteColoring, sigma0: Iterable[int],
     return _sides(f, X, n, [(sigma0, p0, phi0), (sigma1, p1, phi1)])
 
 
-def least_bound(evaluate: Callable[[int], tuple], cap: int) -> Optional[int]:
+def least_bound(evaluate: Callable[[int], tuple], cap: int, window: int) -> Optional[int]:
     """Least n <= cap at which the evaluator's (verdict, failure) is true, if
-    any."""
-    if cap < 0:
-        raise PatternError("cap must be nonnegative")
-    if cap > MAX_BOUND:
-        raise PatternError(f"cap {cap} exceeds the hard cap {MAX_BOUND}")
+    any.  The cap is checked first, as a bound of a coloring of the given
+    window is, so a cap the window cannot answer fails whatever the verdicts
+    below it."""
+    _check_bound(window, cap, "cap")
     for n in range(cap + 1):
         if evaluate(n)[0]:
             return n

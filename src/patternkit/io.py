@@ -239,7 +239,3 @@ def trace_records(trace: ConstructionTrace) -> list[str]:
         rec.update(dict(ev.detail))
         lines.append(emit_record(rec))
     return lines
-
-
-def parse_trace_records(text: str) -> list[dict[str, str]]:
-    return [parse_record(line) for line in _content_lines(text)]

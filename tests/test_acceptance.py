@@ -18,11 +18,11 @@ from patternkit.core import (
     realizes,
 )
 from patternkit.algebra import (
+    classify,
     decompositions,
     is_divergent,
     is_i_merging,
     is_irreducible,
-    is_merging,
     join,
 )
 from patternkit.classifier import (
@@ -103,7 +103,7 @@ def test_06_convergent_implies_merging_exhaustive():
     for size in range(3, 7):
         for p in enumerate_patterns(size):
             if not is_divergent(p):
-                assert is_merging(p), p
+                assert classify(p).merging, p
 
 
 def test_07_reducible_example_regression():

@@ -16,7 +16,6 @@ from patternkit.algebra import (
     is_divergent,
     is_i_merging,
     is_irreducible,
-    is_merging,
     join,
 )
 from patternkit.classifier import enumerate_patterns
@@ -127,11 +126,11 @@ class TestMerging:
         for text in ("2:0", "2:1"):
             assert is_i_merging(parse_pattern(text), 0)
             assert is_i_merging(parse_pattern(text), 1)
-            assert is_merging(parse_pattern(text))
+            assert classify(parse_pattern(text)).merging
 
     def test_is_merging_examples(self):
-        assert is_merging(parse_pattern("3:000"))
-        assert not is_merging(parse_pattern("3:010"))
+        assert classify(parse_pattern("3:000")).merging
+        assert not classify(parse_pattern("3:010")).merging
 
 
 class TestOneSplitMerging:
@@ -188,8 +187,6 @@ class TestClassify:
         for _ in range(300):
             p = random_pattern(rng, 1, 6)
             fl = classify(p)
-            assert fl.divergent == (not fl.convergent)
-            assert fl.irreducible == (not fl.reducible)
             assert fl.merging == (fl.merging0 and fl.merging1)
             if p.size >= 2:
                 assert fl.merging0 or fl.merging1
@@ -205,4 +202,4 @@ class TestClassify:
 
     def test_size_one_by_vacuity(self):
         fl = classify(parse_pattern("1:"))
-        assert fl.convergent and fl.irreducible and fl.merging
+        assert not fl.divergent and fl.irreducible and fl.merging

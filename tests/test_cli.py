@@ -489,6 +489,25 @@ class TestInputErrors:
                                      "--stem", "7", "--reservoir", "6,8", *limit)
         assert err == "error: stem must lie entirely below the reservoir\n"
 
+    @pytest.mark.parametrize("predicate", ["true", "false"])
+    def test_least_bound_cap_checked_against_the_window(self, capsys, tmp_path, predicate):
+        # the cap was checked against the window only when the scan reached
+        # it: true printed least_bound:0, false failed with the bound's message
+        path = tmp_path / "c10.txt"
+        path.write_text(format_coloring(constant_coloring(10)))
+        err = self.assert_user_error(capsys, "force-eval", "omega", str(path), "3:010",
+                                     predicate, "--reservoir", "1,2,3", "--least-bound", "12")
+        assert err == "error: cap 12 exceeds window [0,10)\n"
+
+    @pytest.mark.parametrize("kind", ["omega", "i", "disjunctive"])
+    def test_reservoir_element_outside_window(self, capsys, tmp_path, kind):
+        # --reservoir 1,2,99 printed verdict:1 while --stem 99 exited 2
+        path = tmp_path / "c10.txt"
+        path.write_text(format_coloring(constant_coloring(10)))
+        err = self.assert_user_error(capsys, "force-eval", kind, str(path), "3:010", "true",
+                                     "--reservoir", "1,2,99", "--bound", "3")
+        assert err == "error: reservoir element 99 outside window [0,10)\n"
+
     def test_negative_reservoir_element(self, capsys, coloring_file):
         err = self.assert_user_error(capsys, "force-eval", "omega", coloring_file,
                                      "2:0", "size>=2", "--reservoir=-3,1,2",
@@ -557,9 +576,11 @@ class TestInputErrors:
          "patterns must have size >= 2"),
         (("force-eval", "omega", "{window16}", "2:0", "true", "--bound", "16"),
          "bound 16 exceeds window [0,16)"),
+        (("force-eval", "omega", "{window16}", "2:0", "true", "--least-bound", "15"),
+         "cap 15 exceeds the hard cap 14"),
         (("avoid-search", "{empty}", "2:0"), "empty coloring file"),
     ], ids=["classify-no-colon", "measure-no-stage", "stable2dim-no-stage",
-            "measure-size-1", "bound-at-window", "empty-coloring"])
+            "measure-size-1", "bound-at-window", "cap-above-hard-cap", "empty-coloring"])
     def test_messages_pinned(self, capsys, message_files, argv, message):
         err = self.assert_user_error(capsys, *(a.format(**message_files) for a in argv))
         assert err == f"error: {message}\n"

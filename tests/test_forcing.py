@@ -198,7 +198,7 @@ class TestStemChecks:
                 with pytest.raises(PatternError, match=STEM_BELOW):
                     evaluate(n)
             with pytest.raises(PatternError, match=STEM_BELOW):
-                least_bound(evaluate, 9)
+                least_bound(evaluate, 9, f.window)
 
 
 class TestReservoirChecks:
@@ -215,6 +215,21 @@ class TestReservoirChecks:
             lambda: eval_question_disjunctive(f, [], [], X, p, p, phi, phi, 2),
         ):
             with pytest.raises(PatternError, match=f"reservoir element {least} is negative"):
+                evaluate()
+
+    @pytest.mark.parametrize("X, most", [([1, 2, 99], 99), ([10], 10), ([3, 12, 10], 12)])
+    def test_reservoir_element_outside_window_rejected(self, X, most):
+        # the evaluators read only X ∩ [0, n], so an element past the window
+        # used to pass unseen; it is an error, as a stem element there is
+        f = constant_coloring(10)
+        phi = pred_true()
+        for evaluate in (
+            lambda: eval_question_omega(f, [], X, P, phi, 3),
+            lambda: eval_question_i(f, [], X, P, phi, 3),
+            lambda: eval_question_disjunctive(f, [], [], X, P, P, phi, phi, 3),
+        ):
+            with pytest.raises(PatternError, match=re.escape(
+                    f"reservoir element {most} outside window [0,10)")):
                 evaluate()
 
 
@@ -242,28 +257,38 @@ class TestLeastBound:
         f = constant_coloring(10)
         assert least_bound(
             lambda n: eval_question_omega(f, [], range(1, 8), P, pred_true(), n),
-            8) == 0
+            8, f.window) == 0
 
     def test_false_predicate_never(self):
         f = constant_coloring(10)
         assert least_bound(
             lambda n: eval_question_omega(f, [], range(1, 8), P, pred_false(), n),
-            8) is None
+            8, f.window) is None
 
     def test_least_window_admitting_enough_elements(self):
         f = constant_coloring(14)
         phi = pred_size_at_least(2)
         got = least_bound(
-            lambda n: eval_question_omega(f, [], range(1, 14), P, phi, n), 12)
+            lambda n: eval_question_omega(f, [], range(1, 14), P, phi, n), 12, f.window)
         assert got == 3
 
     def test_cap_respected(self):
-        with pytest.raises(PatternError):
-            least_bound(lambda n: True, MAX_BOUND + 1)
+        with pytest.raises(PatternError, match=f"^cap {MAX_BOUND + 1} exceeds the hard cap"):
+            least_bound(lambda n: True, MAX_BOUND + 1, MAX_BOUND + 2)
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(PatternError, match="nonnegative"):
-            least_bound(lambda n: True, -1)
+        with pytest.raises(PatternError, match="^cap must be nonnegative$"):
+            least_bound(lambda n: True, -1, 10)
+
+    @pytest.mark.parametrize("predicate", ["true", "false"])
+    def test_cap_checked_against_the_window_first(self, predicate):
+        # under a cap past the window, true answered 0 at the first bound and
+        # false failed only at bound 10, with the bound's message
+        f = constant_coloring(10)
+        phi = catalogue_predicate(predicate)
+        with pytest.raises(PatternError, match=re.escape("cap 12 exceeds window [0,10)")):
+            least_bound(lambda n: eval_question_omega(f, [], [1, 2, 3], P, phi, n),
+                        12, f.window)
 
 
 class TestMonotonicity:

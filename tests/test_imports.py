@@ -11,6 +11,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 
 import patternkit
 from patternkit.constructions import ApproxOracle, BiArrayFunctional
+from patternkit import io
 from patternkit.core import constant_coloring
 from patternkit.io import (
     format_approx_oracle,
@@ -29,21 +31,23 @@ from patternkit.io import (
 from patternkit.stabilize import full_binary_tree
 
 SRC = str(Path(patternkit.__file__).parents[1])
+README = Path(__file__).parents[1] / "README.md"
 
 # every name `patternkit` exported before its submodules were loaded lazily,
 # with the submodule that defines it; `Census` left when census began
-# yielding its rows
+# yielding its rows, and `Embedding`, `embeddings` and `is_merging` because
+# `is_subpattern` and `classify(p).merging` already give their answers
 EXPORTS = {
     "core": [
-        "Embedding", "FiniteColoring", "PartialColoring", "Pattern", "PatternError",
+        "FiniteColoring", "PartialColoring", "Pattern", "PatternError",
         "StableColoring", "avoids", "coloring_from_function", "constant_coloring",
-        "dual", "embeddings", "find_realizer", "flip", "format_pattern",
-        "is_subpattern", "minus", "parse_pattern", "pattern_from_colors",
-        "realizes", "restrict", "strongly_appears", "strongly_realizes",
+        "dual", "find_realizer", "flip", "format_pattern", "is_subpattern", "minus",
+        "parse_pattern", "pattern_from_colors", "realizes", "restrict",
+        "strongly_appears", "strongly_realizes",
     ],
     "algebra": [
         "ClassificationFlags", "classify", "decompositions", "is_divergent",
-        "is_i_merging", "is_irreducible", "is_merging", "join",
+        "is_i_merging", "is_irreducible", "join",
     ],
     "classifier": [
         "CensusRow", "ClassificationReport", "census", "enumerate_patterns",
@@ -211,3 +215,57 @@ def test_names_are_read_through_on_every_access(monkeypatch):
     monkeypatch.undo()
     assert patternkit.build_dnc_coloring is original
     assert patternkit.cli.build_dnc_coloring is original
+
+
+def outside_references() -> set[tuple[str, str]]:
+    """(module, name) for each name that a package module reads from another
+    one: `from .module import name`, or `alias.name` after `from . import
+    module as alias`.  The oracle is left out: it checks the package, so
+    what it reads is no caller."""
+    refs = set()
+    for path in (Path(SRC) / "patternkit").glob("*.py"):
+        if path.stem == "oracle":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        refs.add((path.stem, node.module, a.name))
+                    else:
+                        aliases[a.asname or a.name] = a.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                refs.add((path.stem, aliases[node.value.id], node.attr))
+    return {(module, name) for caller, module, name in refs if caller != module}
+
+
+def readme_uncalled_section() -> str:
+    """README's list of the public names that no other module calls."""
+    return README.read_text().split("### Names no other module calls\n", 1)[1] \
+        .split("\n#", 1)[0]
+
+
+def test_every_public_name_has_a_caller_or_a_readme_line():
+    # a public name is exported, or a function io defines; one that no other
+    # module calls must have a README line saying why it stays, and a name
+    # with a caller must not keep one
+    public = {(m, n) for m, ns in patternkit._EXPORTS.items() for n in ns}
+    public |= {("io", n) for n, v in vars(io).items()
+               if not n.startswith("_") and getattr(v, "__module__", None) == io.__name__}
+    uncalled = sorted(n for m, n in public - outside_references())
+    listed = [n for item in readme_uncalled_section().split("\n- ")[1:]
+              for n in re.findall(r"`(\w+)`", item.partition("`:")[0] + "`")]
+    assert sorted(listed) == uncalled
+
+
+def test_readme_lines_name_tests_that_exist():
+    for path, chain in re.findall(r"`(tests/test_\w+\.py)((?:::\w+)*)`",
+                                  readme_uncalled_section()):
+        body = ast.parse((README.parent / path).read_text()).body
+        for name in chain.split("::")[1:]:
+            node = next((n for n in body if getattr(n, "name", None) == name), None)
+            assert node is not None, f"{path}{chain}"
+            body = node.body

@@ -25,7 +25,6 @@ from patternkit.io import (
     parse_record,
     parse_stable_coloring,
     parse_tree,
-    parse_trace_records,
     trace_records,
 )
 from conftest import random_coloring
@@ -206,7 +205,7 @@ class TestRecords:
         o = ApproxOracle(((0, 0, frozenset(range(8))),))
         f, trace = build_dnc_coloring(o, 20)
         lines = trace_records(trace)
-        parsed = parse_trace_records("\n".join(lines))
+        parsed = [parse_record(line) for line in lines]
         assert parsed[0]["builder"] == "dnc"
         assert parsed[0]["stages"] == "20"
         assert len(parsed) == len(trace.events) + 1

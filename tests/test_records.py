@@ -21,7 +21,6 @@ from patternkit.constructions import (
     VerifyReport,
 )
 from patternkit.core import (
-    Embedding,
     FiniteColoring,
     PartialColoring,
     Pattern,
@@ -47,7 +46,6 @@ RECORDS = [
     (StableColoring, dict(base=FiniteColoring(3, (2, 1, 0)), limit=(0, 1, 0)),
      ("limit", (1, 1, 0)), True, True),
     (PartialColoring, dict(assignments={1: 0, 3: 1}), ("assignments", {1: 1}), True, True),
-    (Embedding, dict(map=(2, 0)), ("map", (0, 2)), True, True),
     (ClassificationFlags, dict(divergent=True, irreducible=False, merging0=True,
                                merging1=False), ("merging1", True), True, True),
     (ClassificationReport, dict(pattern=P, flags=FLAGS, verdict_omega_hyp=True,
@@ -148,7 +146,7 @@ def test_defaults():
 
 
 def test_derived_properties():
-    assert FLAGS.convergent is False and FLAGS.reducible is True and FLAGS.merging is False
+    assert FLAGS.merging is False
     assert SuiteResult("duality", 3).passed
     assert not SuiteResult("duality", 3, exhausted=True).passed
     assert VerifyReport((CheckResult("a", True),)).passed
